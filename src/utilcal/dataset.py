@@ -191,12 +191,22 @@ def validate(
 
     Raises :class:`ValidationError` when a row sum deviates from 1 by more
     than 1e-3 or an entry is below -1e-6 and ``renormalize`` is unset, and
-    always when a label is out of range (renormalization cannot fix labels).
+    always when an entry is NaN or infinite or a label is out of range
+    (renormalization cannot fix either).
     With ``renormalize`` set, entries are clamped to [0, 1] and each row is
     divided by its sum; the corrected data is attached to the report.
     """
     probs, labels = preds.probs, preds.labels
     row_sums = probs.sum(axis=1)
+    # A NaN or infinite entry makes its row sum non-finite, so the sums find
+    # them without another n x C pass.
+    finite = np.isfinite(row_sums)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
+        raise ValidationError(
+            f"{len(bad)} row(s) sum to a non-finite value, e.g. row {bad[0]} "
+            f"sums to {row_sums[bad[0]]}: entries must be finite"
+        )
     max_dev = float(np.max(np.abs(row_sums - 1.0)))
     min_entry = float(probs.min())
     bad_labels = int(np.count_nonzero((labels < 0) | (labels >= preds.C)))

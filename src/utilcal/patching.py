@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import LabeledPredictions
 from .errors import ConfigError, DomainError, ParseError
-from .estimators import brier_matrix, payoff_matrix, predicted_utility, uc_hat
+from .estimators import brier_matrix, payoff_matrix, predicted_utility, uc_hat_pool
 from .utilities import UtilitySpec, comb_pool, derive_rng, sample_utility
 
 
@@ -196,20 +196,19 @@ def find_worst_witness(
 ) -> tuple[Witness, float]:
     """Largest worst-interval error across the pool; earliest index wins ties.
 
-    The returned sign is the negation of the estimator's residual sign: the
-    estimator measures realized-minus-predicted, the patch direction descends
-    on predicted-minus-realized.
+    The pool goes through one :func:`uc_hat_pool` call: each distinct utility
+    is evaluated once and the label ranks are shared by every rank-based
+    utility.  The returned sign is the negation of the estimator's residual
+    sign: the estimator measures realized-minus-predicted, the patch
+    direction descends on predicted-minus-realized.
     """
     if not pool:
         raise DomainError("witness pool is empty")
-    best_est = None
-    best_spec = None
-    for spec in pool:
-        est = uc_hat(preds, spec)
-        if best_est is None or est.value > best_est.value:
-            best_est, best_spec = est, spec
+    estimates = uc_hat_pool(preds, pool)
+    best = max(range(len(pool)), key=lambda i: estimates[i].value)  # first max
+    best_est = estimates[best]
     witness = Witness(
-        spec=best_spec,
+        spec=pool[best],
         lo=best_est.interval[0],
         hi=best_est.interval[1],
         sign=-best_est.sign,

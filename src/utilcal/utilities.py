@@ -15,17 +15,19 @@ import numpy as np
 
 from .errors import DomainError, ParseError
 
-FAMILIES = (
-    "top_class",
-    "class_wise",
-    "top_k",
-    "rank",
-    "linear",
-    "dcg",
-    "decision",
-    "gain_matrix",
-    "similarity",
-)
+# The parameter fields each family sets; every other field stays None.
+FAMILY_PARAMS = {
+    "top_class": (),
+    "class_wise": ("c",),
+    "top_k": ("k",),
+    "rank": ("theta",),
+    "linear": ("a",),
+    "dcg": ("gamma",),
+    "decision": ("loss",),
+    "gain_matrix": ("gain",),
+    "similarity": ("sim",),
+}
+FAMILIES = tuple(FAMILY_PARAMS)
 
 DCG_GAMMA_GRID = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
 
@@ -177,24 +179,23 @@ class UtilitySpec:
         if fam == "similarity" and self.sim.shape[0] != C:
             raise DomainError(f"sim is {self.sim.shape[0]}-square, data has C={C}")
 
+    def key(self) -> tuple:
+        """Hashable identity of the utility: specs with equal keys have the
+        same family and bit-identical parameters, so they evaluate to
+        bit-identical results."""
+        parts: list = [self.family]
+        for name in FAMILY_PARAMS[self.family]:
+            value = getattr(self, name)
+            if isinstance(value, np.ndarray):
+                value = (value.shape, value.tobytes())
+            parts.append(value)
+        return tuple(parts)
+
     def to_json_dict(self) -> dict:
         params: dict = {}
-        if self.family == "class_wise":
-            params["c"] = self.c
-        elif self.family == "top_k":
-            params["k"] = self.k
-        elif self.family == "rank":
-            params["theta"] = self.theta.tolist()
-        elif self.family == "linear":
-            params["a"] = self.a.tolist()
-        elif self.family == "dcg":
-            params["gamma"] = self.gamma
-        elif self.family == "decision":
-            params["loss"] = self.loss.tolist()
-        elif self.family == "gain_matrix":
-            params["gain"] = self.gain.tolist()
-        elif self.family == "similarity":
-            params["sim"] = self.sim.tolist()
+        for name in FAMILY_PARAMS[self.family]:
+            value = getattr(self, name)
+            params[name] = value.tolist() if isinstance(value, np.ndarray) else value
         return {"family": self.family, "params": params}
 
     @classmethod
@@ -206,7 +207,18 @@ class UtilitySpec:
             raise ParseError(f"utility JSON missing key: {exc}") from exc
         if fam not in FAMILIES:
             raise ParseError(f"unknown utility family {fam!r}")
-        return cls(fam, **params)
+        if not isinstance(params, dict):
+            raise ParseError(f"utility params must be an object, got {params!r}")
+        unknown = sorted(set(params) - set(FAMILY_PARAMS[fam]))
+        if unknown:
+            raise ParseError(
+                f"unknown parameter(s) {', '.join(map(repr, unknown))} for utility "
+                f"family {fam!r} (expected {list(FAMILY_PARAMS[fam])})"
+            )
+        try:
+            return cls(fam, **params)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad {fam} parameters: {exc}") from exc
 
 
 @dataclass(frozen=True)

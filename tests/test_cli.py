@@ -146,6 +146,27 @@ class TestEvaluateCmd:
                    "--labels", str(tmp_path / "l.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("renormalize", [[], ["--renormalize"]])
+    def test_nan_row_exit_2(self, tmp_path, capsys, renormalize):
+        write_predictions_csv(tmp_path / "p.csv", np.array([[0.5, 0.5], [np.nan, 0.5]]))
+        write_labels_csv(tmp_path / "l.csv", np.array([0, 1]))
+        out = tmp_path / "report.json"
+        rc = main(["evaluate", "--preds", str(tmp_path / "p.csv"),
+                   "--labels", str(tmp_path / "l.csv"), "--out", str(out)]
+                  + renormalize)
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_utility_key_exit_3(self, two_point_files, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"family": "top_k", "params": {"K": 2}}))
+        rc = main(["evaluate", "--preds", two_point_files["preds"],
+                   "--labels", two_point_files["labels"],
+                   "--utility", str(spec_path)])
+        assert rc == 3
+        assert "'K'" in capsys.readouterr().err
+
     def test_missing_file_exit_3(self, tmp_path):
         rc = main(["evaluate", "--preds", str(tmp_path / "nope.csv"),
                    "--labels", str(tmp_path / "nope2.csv")])

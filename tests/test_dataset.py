@@ -61,6 +61,15 @@ class TestValidate:
         with pytest.raises(ValidationError, match="label"):
             validate(preds, renormalize=True)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_non_finite_entry_fatal(self, bad, renormalize):
+        probs = np.array([[0.5, 0.5], [0.25, 0.75], [0.5, 0.5]])
+        probs[1, 0] = bad
+        preds = LabeledPredictions(probs, np.array([0, 1, 0]))
+        with pytest.raises(ValidationError, match="row 1"):
+            validate(preds, renormalize=renormalize)
+
     def test_generators_pass_unrenormalized(self):
         validate(gen_two_point(20))
         sample, _ = gen_calibrated(200, 4, 3, seed=0)

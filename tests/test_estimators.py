@@ -13,6 +13,7 @@ from utilcal import (
     brier,
     comb_pool,
     cwe_binned,
+    dcg_pool,
     dcu_bound_check,
     derive_rng,
     evaluate_metrics,
@@ -27,7 +28,9 @@ from utilcal import (
     two_point_distribution,
     uc_hat,
     uc_hat_oracle,
+    uc_hat_pool,
 )
+from utilcal import estimators
 from utilcal.estimators import (
     oracle_trials,
     payoff_matrix,
@@ -35,6 +38,7 @@ from utilcal.estimators import (
     random_instance,
     realized_utility,
 )
+from utilcal.utilities import FAMILIES
 
 
 def random_preds(rng, n, C):
@@ -163,6 +167,75 @@ class TestUcHat:
         max_diff, failures = oracle_trials(3, seed=0, inject_fault=True)
         assert failures == [0]
         assert max_diff >= 1e-6
+
+
+def specs_for(C, seed, draws=200):
+    """Specs of every family that fit C classes, drawn by random_instance."""
+    specs = []
+    for t in range(draws):
+        _, spec = random_instance(derive_rng(seed, t), n_max=1, c_max=C)
+        try:
+            spec.check_dim(C)
+        except DomainError:
+            continue
+        specs.append(spec)
+    return specs
+
+
+class TestUcHatPool:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_spec_uc_hat(self, seed):
+        C = 4
+        specs = specs_for(C, seed)
+        assert {s.family for s in specs} == set(FAMILIES)
+        pool = specs + comb_pool(C) + dcg_pool() + [specs[3]]
+        rng = np.random.default_rng(seed)
+        continuous = random_preds(rng, 300, C)
+        tied, _ = gen_calibrated(300, C, support_size=7, seed=seed)
+        for d in (continuous, tied):
+            got = uc_hat_pool(d, pool)
+            assert len(got) == len(pool)
+            for spec, est in zip(pool, got):
+                assert est == uc_hat(d, spec)
+
+    def test_each_distinct_utility_evaluated_once(self, monkeypatch):
+        d = random_preds(np.random.default_rng(3), 100, 5)
+        calls = {"predicted": 0, "ranks": 0}
+        predicted, label_ranks = estimators.predicted_utility, estimators._label_ranks
+
+        def count_predicted(spec, probs):
+            calls["predicted"] += 1
+            return predicted(spec, probs)
+
+        def count_ranks(probs, labels):
+            calls["ranks"] += 1
+            return label_ranks(probs, labels)
+
+        monkeypatch.setattr(estimators, "predicted_utility", count_predicted)
+        monkeypatch.setattr(estimators, "_label_ranks", count_ranks)
+        a = np.linspace(-1.0, 1.0, 5)
+        pool = comb_pool(5) + dcg_pool() + comb_pool(5) + [
+            UtilitySpec.linear(a), UtilitySpec.linear(a.copy()),
+        ]
+        got = uc_hat_pool(d, pool)
+        assert calls == {"predicted": 10 + 6 + 1, "ranks": 1}
+        assert got[0] is got[16] and got[-1] is got[-2]
+
+    def test_no_rank_pass_without_rank_families(self, monkeypatch):
+        monkeypatch.setattr(estimators, "_label_ranks", None)
+        d = random_preds(np.random.default_rng(5), 50, 3)
+        assert len(uc_hat_pool(d, [UtilitySpec.top_class()] + comb_pool(3)[:3])) == 4
+
+    def test_empty_pool(self):
+        assert uc_hat_pool(gen_two_point(20), []) == []
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_label_out_of_range(self, bad):
+        d = LabeledPredictions(np.full((4, 3), 1.0 / 3.0), np.array([0, 1, bad, 2]))
+        with pytest.raises(DomainError, match="labels"):
+            uc_hat(d, UtilitySpec.top_class())
+        with pytest.raises(DomainError, match="labels"):
+            uc_hat_pool(d, comb_pool(3))
 
 
 class TestInvariances:
@@ -385,6 +458,25 @@ class TestMetricReport:
         assert set(j["uc"]["tc"]) == {"value", "lo", "hi", "sign"}
         empty = evaluate_metrics(d)
         assert "uc" not in empty.to_json_dict()
+
+    def test_comb_requested_any_number_of_times(self):
+        d = random_preds(np.random.default_rng(6), 300, 5)
+        named = [(s.label(), s) for s in comb_pool(5)]
+        extra = [("tc", UtilitySpec.top_class()), ("dcg", UtilitySpec.dcg(1.0))]
+        reports = [
+            evaluate_metrics(d, utilities=extra),
+            evaluate_metrics(d, utilities=extra + named),
+            evaluate_metrics(
+                d, utilities=named + extra + [(n + "#1", s) for n, s in named]
+            ),
+        ]
+        want_comb = max(uc_hat(d, s).value for s in comb_pool(5))
+        for report in reports:
+            assert report.uc_comb == want_comb
+            for name, est in report.uc_per_utility.items():
+                spec = dict(extra + named)[name.split("#")[0]]
+                assert est == uc_hat(d, spec)
+        assert len(reports[2].uc_per_utility) == 2 + 2 * len(named)
 
     def test_report_ranges(self):
         d = random_preds(np.random.default_rng(4), 200, 4)

@@ -121,6 +121,14 @@ class TestFindWorstWitness:
         assert err == pytest.approx(0.3375, abs=1e-12)
         assert witness.spec.label() == "class_wise_1"
 
+    def test_repeated_spec_returns_first_copy(self):
+        d = gen_two_point(20)
+        first, second = UtilitySpec.class_wise(1), UtilitySpec.class_wise(1)
+        pool = [UtilitySpec.top_class(), first, UtilitySpec.top_k(2), second]
+        witness, err = find_worst_witness(d, pool)
+        assert witness.spec is first
+        assert err == uc_hat(d, first).value
+
     def test_empty_pool(self):
         with pytest.raises(DomainError):
             find_worst_witness(perfect_predictor(), [])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from utilcal import (
     DomainError,
+    ParseError,
     UtilitySpec,
     comb_pool,
     derive_rng,
@@ -284,6 +285,43 @@ class TestJsonRoundtrip:
         assert "loss" in UtilitySpec.decision([[0.0], [0.0]]).to_json_dict()["params"]
         assert "gain" in UtilitySpec.gain_matrix([[1.0, 0.0], [0.0, 1.0]]).to_json_dict()["params"]
         assert "sim" in UtilitySpec.similarity([[1.0, 0.0], [0.0, 1.0]]).to_json_dict()["params"]
+
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            {"family": "top_k", "params": {"k": 2, "kk": 3}},
+            {"family": "top_class", "params": {"c": 0}},
+            {"family": "class_wise", "params": [1]},
+            {"family": "top_k", "params": {"k": "two"}},
+            {"family": "linear", "params": {"a": ["x", 0.0]}},
+        ],
+    )
+    def test_bad_params_parse_error(self, d):
+        with pytest.raises(ParseError):
+            UtilitySpec.from_json_dict(d)
+
+
+class TestSpecKey:
+    def test_equal_parameters_equal_keys(self):
+        a = np.array([0.5, -0.25, 1.0])
+        assert UtilitySpec.linear(a).key() == UtilitySpec.linear(a.copy()).key()
+        assert UtilitySpec.top_k(2).key() == UtilitySpec.top_k(2).key()
+        assert UtilitySpec.dcg(1.0).key() == UtilitySpec.dcg(1.0).key()
+
+    def test_distinct_utilities_distinct_keys(self):
+        a = [0.5, -0.25, 1.0]
+        keys = {
+            UtilitySpec.linear(a).key(),
+            UtilitySpec.rank(sorted(a, reverse=True)).key(),
+            UtilitySpec.linear([0.5, -0.25, 0.75]).key(),
+            UtilitySpec.class_wise(2).key(),
+            UtilitySpec.top_k(2).key(),
+            UtilitySpec.dcg(1.25).key(),
+            UtilitySpec.decision([[0.1, 0.2, 0.3]] * 2).key(),
+            UtilitySpec.decision([[0.1, 0.2]] * 3).key(),
+        }
+        assert len(keys) == 8
 
 
 class TestSpecValidation:
