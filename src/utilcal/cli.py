@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .utilities import UtilitySpec, comb_pool, dcg_pool, load_utility_json
+from .utilities import FAMILY_PARAMS, UtilitySpec, comb_pool, dcg_pool, load_utility_json
 
 
 def _load_preds(args) -> dataset.LabeledPredictions:
@@ -35,28 +35,33 @@ def _load_preds(args) -> dataset.LabeledPredictions:
 
 
 def _parse_utility(token: str, C: int) -> list[tuple[str, UtilitySpec]]:
-    """One --utility token: a family keyword (optionally "family:param"),
-    "comb" for the whole class-wise + top-K pool, "dcg" for the default
-    gamma grid, or a path to a spec JSON."""
+    """One --utility token: "comb" for the whole class-wise + top-K pool,
+    "dcg" for the default gamma grid, a path to a spec JSON, "family" for a
+    family without parameters, or "family:value" for a family whose one
+    parameter is a scalar."""
     if token == "comb":
         return [(spec.label(), spec) for spec in comb_pool(C)]
     if token == "dcg":
         return [(spec.label(), spec) for spec in dcg_pool()]
-    if token == "top_class":
-        spec = UtilitySpec.top_class()
-    elif token.startswith("class_wise:"):
-        spec = UtilitySpec.class_wise(int(token.split(":", 1)[1]))
-    elif token.startswith("top_k:"):
-        spec = UtilitySpec.top_k(int(token.split(":", 1)[1]))
-    elif token.startswith("dcg:"):
-        spec = UtilitySpec.dcg(float(token.split(":", 1)[1]))
-    elif token.endswith(".json"):
+    if token.endswith(".json"):
         spec = load_utility_json(token)
-    else:
+        return [(spec.label(), spec)]
+    fam, sep, text = token.partition(":")
+    rules = FAMILY_PARAMS.get(fam)
+    # a ":value" part exactly when the family has one parameter, and only
+    # scalar rules parse text
+    if rules is None or len(rules) != len(sep) or not all(
+        hasattr(rule, "parse") for rule in rules.values()
+    ):
         raise DomainError(
             f"cannot interpret utility {token!r}: use top_class, class_wise:C, "
             "top_k:K, dcg:GAMMA, comb, or a path to a UtilitySpec JSON"
         )
+    try:
+        params = {name: rule.parse(text) for name, rule in rules.items()}
+    except ValueError:
+        raise DomainError(f"utility {token!r}: {text!r} is not a number") from None
+    spec = UtilitySpec(fam, **params)
     return [(spec.label(), spec)]
 
 

@@ -31,8 +31,30 @@ from .utilities import (
 
 # --- vectorized utility evaluation ----------------------------------------
 
-# Families whose realized utility reads the rank of the true class.
-RANK_FAMILIES = ("top_k", "rank", "dcg")
+# Every family's payoff vector uvec(p) takes one of three forms:
+#   "column": uvec(p) = G[:, j*], j* = argmax_j (p @ G)_j (first on ties), for
+#             a C x K matrix G; None stands for the C x C identity;
+#   "rank":   uvec(p)_j = theta[rank of class j in p - 1], ranks under (-p_j, j);
+#   "dense":  uvec(p) = p @ S.
+# family -> (form, builder of G, theta or S from (spec, C))
+_FORMS = {
+    "top_class": ("column", lambda spec, C: None),
+    "class_wise": ("column", lambda spec, C: np.eye(C, 1, -spec.c)),  # e_c
+    "linear": ("column", lambda spec, C: spec.a[:, None]),
+    "decision": ("column", lambda spec, C: -spec.loss),
+    "gain_matrix": ("column", lambda spec, C: spec.gain),
+    "top_k": ("rank", lambda spec, C: (np.arange(C) < spec.k).astype(np.float64)),
+    "rank": ("rank", lambda spec, C: spec.theta),
+    "dcg": ("rank", lambda spec, C: dcg_discounts(C, spec.gamma)),
+    "similarity": ("dense", lambda spec, C: spec.sim),
+}
+
+
+def _payoff_form(spec: UtilitySpec, C: int) -> tuple[str, np.ndarray | None]:
+    """(form, G | theta | S) of ``spec`` on C classes; see :data:`_FORMS`."""
+    spec.check_dim(C)
+    form, build = _FORMS[spec.family]
+    return form, build(spec, C)
 
 
 def _label_ranks(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -46,45 +68,24 @@ def _label_ranks(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return greater + tied_before + 1
 
 
-def rank_matrix(probs: np.ndarray) -> np.ndarray:
-    """1-based bijective ranks for every row; ties to the smaller index."""
-    n, C = probs.shape
-    order = np.argsort(-probs, axis=1, kind="stable")
-    ranks = np.empty((n, C), dtype=np.int64)
-    np.put_along_axis(ranks, order, np.broadcast_to(np.arange(1, C + 1), (n, C)), axis=1)
-    return ranks
-
-
 def predicted_utility(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
     """Predicted utility v_u for every row of ``probs``."""
     probs = np.asarray(probs, dtype=np.float64)
     n, C = probs.shape
-    spec.check_dim(C)
-    fam = spec.family
-    if fam == "top_class":
-        return probs.max(axis=1)
-    if fam == "class_wise":
-        return probs[:, spec.c].copy()
-    if fam == "top_k":
+    form, param = _payoff_form(spec, C)
+    if spec.family == "top_k":  # a partial sort instead of the full row sort
         if spec.k == C:
             return probs.sum(axis=1)
         return np.partition(probs, C - spec.k, axis=1)[:, C - spec.k :].sum(axis=1)
-    if fam in ("rank", "dcg"):
-        theta = spec.theta if fam == "rank" else dcg_discounts(C, spec.gamma)
-        return np.sort(probs, axis=1)[:, ::-1] @ theta
-    if fam == "linear":
-        return probs @ spec.a
-    if fam == "decision":
-        expected_loss = probs @ spec.loss
-        delta = np.argmin(expected_loss, axis=1)
-        return -expected_loss[np.arange(n), delta]
-    if fam == "gain_matrix":
-        gains = probs @ spec.gain
-        j_star = np.argmax(gains, axis=1)
-        return gains[np.arange(n), j_star]
-    # similarity
-    u = probs @ spec.sim
-    return np.einsum("ij,ij->i", probs, u)
+    if form == "column":
+        if param is None:
+            return probs.max(axis=1)
+        if param.shape[1] == 1:
+            return probs @ param[:, 0]
+        return (probs @ param).max(axis=1)
+    if form == "rank":
+        return np.sort(probs, axis=1)[:, ::-1] @ param
+    return np.einsum("ij,ij->i", probs, probs @ param)
 
 
 def realized_utility(
@@ -95,36 +96,24 @@ def realized_utility(
 ) -> np.ndarray:
     """Realized payoff u(p_i, e_{label_i}) for every row.
 
-    ``ranks`` may pass in ``_label_ranks(probs, labels)``, which the
-    :data:`RANK_FAMILIES` read, so a pool of them computes it once.
+    ``ranks`` may pass in ``_label_ranks(probs, labels)``, which the "rank"
+    form reads, so a pool of such utilities computes it once.
     """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n, C = probs.shape
-    spec.check_dim(C)
-    rows = np.arange(n)
-    fam = spec.family
-    if fam in RANK_FAMILIES and ranks is None:
-        ranks = _label_ranks(probs, labels)
-    if fam == "top_class":
-        return (labels == probs.argmax(axis=1)).astype(np.float64)
-    if fam == "class_wise":
-        return (labels == spec.c).astype(np.float64)
-    if fam == "top_k":
-        return (ranks <= spec.k).astype(np.float64)
-    if fam in ("rank", "dcg"):
-        theta = spec.theta if fam == "rank" else dcg_discounts(C, spec.gamma)
-        return theta[ranks - 1]
-    if fam == "linear":
-        return spec.a[labels]
-    if fam == "decision":
-        delta = np.argmin(probs @ spec.loss, axis=1)
-        return -spec.loss[labels, delta]
-    if fam == "gain_matrix":
-        j_star = np.argmax(probs @ spec.gain, axis=1)
-        return spec.gain[labels, j_star]
-    # similarity
-    return (probs @ spec.sim)[rows, labels]
+    form, param = _payoff_form(spec, C)
+    if form == "column":
+        if param is None:
+            return (labels == probs.argmax(axis=1)).astype(np.float64)
+        if param.shape[1] == 1:  # 1-D indexing: a mixed index is twice as slow
+            return param[:, 0][labels]
+        return param[labels, (probs @ param).argmax(axis=1)]
+    if form == "rank":
+        if ranks is None:
+            ranks = _label_ranks(probs, labels)
+        return param[ranks - 1]
+    return (probs @ param)[np.arange(n), labels]
 
 
 def payoff_matrix(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
@@ -133,42 +122,32 @@ def payoff_matrix(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
     the rows they need)."""
     probs = np.asarray(probs, dtype=np.float64)
     n, C = probs.shape
-    spec.check_dim(C)
-    fam = spec.family
-    if fam == "top_class":
-        out = np.zeros((n, C))
-        out[np.arange(n), probs.argmax(axis=1)] = 1.0
+    form, param = _payoff_form(spec, C)
+    if form == "column":
+        if param is None:
+            out = np.zeros((n, C))
+            out[np.arange(n), probs.argmax(axis=1)] = 1.0
+            return out
+        if param.shape[1] == 1:
+            return np.broadcast_to(param[:, 0], (n, C)).copy()
+        return param[:, (probs @ param).argmax(axis=1)].T
+    if form == "rank":  # theta[r - 1] goes to the class ranked r
+        out = np.empty((n, C))
+        order = np.argsort(-probs, axis=1, kind="stable")
+        np.put_along_axis(out, order, np.broadcast_to(param, (n, C)), axis=1)
         return out
-    if fam == "class_wise":
-        out = np.zeros((n, C))
-        out[:, spec.c] = 1.0
-        return out
-    if fam == "top_k":
-        return (rank_matrix(probs) <= spec.k).astype(np.float64)
-    if fam in ("rank", "dcg"):
-        theta = spec.theta if fam == "rank" else dcg_discounts(C, spec.gamma)
-        return theta[rank_matrix(probs) - 1]
-    if fam == "linear":
-        return np.broadcast_to(spec.a, (n, C)).copy()
-    if fam == "decision":
-        delta = np.argmin(probs @ spec.loss, axis=1)
-        return -spec.loss[:, delta].T
-    if fam == "gain_matrix":
-        j_star = np.argmax(probs @ spec.gain, axis=1)
-        return spec.gain[:, j_star].T
-    # similarity
-    return probs @ spec.sim
+    return probs @ param
 
 
 def residuals(
-    preds: LabeledPredictions, spec: UtilitySpec, ranks: np.ndarray | None = None
+    preds: LabeledPredictions, spec: UtilitySpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row (v_i, r_i): predicted utility and the gap
-    r_i = u(p_i, e_{label_i}) - v_i.  ``ranks`` is passed on to
-    :func:`realized_utility`."""
+    r_i = u(p_i, e_{label_i}) - v_i.  Raises :class:`DomainError` when a
+    label lies outside [0, C)."""
+    _check_labels(preds)
     v = predicted_utility(spec, preds.probs)
-    u = realized_utility(spec, preds.probs, preds.labels, ranks)
-    return v, u - v
+    return v, realized_utility(spec, preds.probs, preds.labels) - v
 
 
 # --- the worst-interval estimator ------------------------------------------
@@ -197,9 +176,13 @@ def _interval_spread(
     Returns (spread, (lo, hi), sign) where [lo, hi] is the witness interval
     in v-space and sign the orientation.  Prefix extrema ties resolve to the
     earliest index; when every prefix is zero the supremum 0 is witnessed by
-    a degenerate interval at the first block.
+    a degenerate interval at the first block.  Raises :class:`DomainError`
+    when the total is not finite: a NaN or infinite prediction entry reached
+    the residuals.
     """
     prefix = np.concatenate(([0.0], np.cumsum(block_sums)))
+    if not np.isfinite(prefix[-1]):
+        raise DomainError("residuals are not finite: predictions hold NaN or inf")
     b_max = int(np.argmax(prefix))
     b_min = int(np.argmin(prefix))
     spread = float(prefix[b_max] - prefix[b_min])
@@ -243,7 +226,8 @@ def _check_labels(preds: LabeledPredictions) -> None:
 def _estimate(
     preds: LabeledPredictions, spec: UtilitySpec, ranks: np.ndarray | None
 ) -> UcEstimate:
-    v, r = residuals(preds, spec, ranks)
+    v = predicted_utility(spec, preds.probs)
+    r = realized_utility(spec, preds.probs, preds.labels, ranks) - v
     block_v, block_sum = _merge_ties(v, r)
     spread, interval, sign = _interval_spread(block_v, block_sum)
     return UcEstimate(value=spread / preds.n, interval=interval, sign=sign)
@@ -279,7 +263,7 @@ def uc_hat_pool(
     for spec in specs:
         key = spec.key()
         if key not in by_key:
-            if ranks is None and spec.family in RANK_FAMILIES:
+            if ranks is None and _FORMS[spec.family][0] == "rank":
                 ranks = _label_ranks(preds.probs, preds.labels)
             by_key[key] = _estimate(preds, spec, ranks)
         out.append(by_key[key])
@@ -290,7 +274,8 @@ def uc_hat_oracle(preds: LabeledPredictions, spec: UtilitySpec) -> float:
     """Brute-force interval enumeration; the independent check for
     :func:`uc_hat`.  Enumerates every closed interval between distinct
     observed v values (plus the empty interval) and takes the max absolute
-    normalized residual sum."""
+    normalized residual sum.  Raises :class:`DomainError` when a label lies
+    outside [0, C)."""
     if preds.n > 10000:
         raise GuardError(f"oracle guard: n={preds.n} exceeds 10000")
     v, r = residuals(preds, spec)

@@ -26,16 +26,11 @@ from .errors import ConfigError, DomainError, ParseError
 from .estimators import brier_matrix, payoff_matrix, predicted_utility, uc_hat_pool
 from .utilities import UtilitySpec, comb_pool, derive_rng, sample_utility
 
-
-def project_simplex(x: np.ndarray) -> np.ndarray:
-    """Euclidean projection of one vector onto the probability simplex."""
-    x = np.asarray(x, dtype=np.float64)
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, len(x) + 1)
-    k = int(np.count_nonzero(u - (css - 1.0) / ks > 0.0))
-    tau = (css[k - 1] - 1.0) / k
-    return np.maximum(x - tau, 0.0)
+# Armijo backtracking: shrink factor, sufficient-decrease constant, and the
+# number of halvings tried before falling back to the theoretical step.
+ARMIJO_SHRINK = 0.5
+ARMIJO_C = 0.5
+ARMIJO_MAX_BACKTRACKS = 30
 
 
 def project_simplex_rows(X: np.ndarray) -> np.ndarray:
@@ -173,9 +168,10 @@ class PatchConfig:
 
     ``pool`` defaults to the class-wise + top-K pool of the calibration data;
     ``max_iters`` defaults to the theoretical-step termination bound
-    ceil(2C/epsilon^2) + 1.  Armijo constants follow the standard halving
-    search; the initial step optimizes the quadratic Brier upper bound on the
-    masked rows and the search falls back to err/C when backtracking fails.
+    ceil(2C/epsilon^2) + 1.  The Armijo rule is the standard halving search
+    (:data:`ARMIJO_SHRINK`, :data:`ARMIJO_C`, :data:`ARMIJO_MAX_BACKTRACKS`);
+    its initial step optimizes the quadratic Brier upper bound on the masked
+    rows and the search falls back to err/C when backtracking fails.
     """
 
     pool: Sequence[UtilitySpec] | None = None
@@ -185,10 +181,6 @@ class PatchConfig:
     augment_families: tuple[str, ...] = ()
     augment_count: int = 264
     augment_seed: int = 0
-    armijo_init_scale: float = 1.0
-    armijo_shrink: float = 0.5
-    armijo_c: float = 0.5
-    armijo_max_backtracks: int = 30
 
 
 def find_worst_witness(
@@ -229,22 +221,11 @@ def _apply_record_rows(probs: np.ndarray, rec: PatchRecord) -> np.ndarray:
     return out
 
 
-def apply_patch(p: np.ndarray, rec: PatchRecord) -> np.ndarray:
-    """Single-vector version of one patch step."""
-    p = np.asarray(p, dtype=np.float64)
-    v = float(predicted_utility(rec.spec, p[None, :])[0])
-    if not rec.lo <= v <= rec.hi:
-        return p.copy()
-    uvec = payoff_matrix(rec.spec, p[None, :])[0]
-    return project_simplex(p - rec.step * rec.sign * uvec)
-
-
 def _choose_armijo_step(
     probs: np.ndarray,
     labels: np.ndarray,
     witness: Witness,
     err: float,
-    config: PatchConfig,
 ) -> tuple[float, np.ndarray]:
     """Backtracking halving search on the Brier score.
 
@@ -259,17 +240,17 @@ def _choose_armijo_step(
     if np.any(mask):
         uvec = payoff_matrix(witness.spec, probs[mask])
         denom = float(np.mean(np.sum(uvec * uvec, axis=1)))
-    eta = config.armijo_init_scale * err / denom if denom > 1e-300 else fallback
+    eta = err / denom if denom > 1e-300 else fallback
     eta = min(eta, 2.0)  # PatchRecord caps steps at the Brier range
 
     before = brier_matrix(probs, labels)
-    for _ in range(config.armijo_max_backtracks):
+    for _ in range(ARMIJO_MAX_BACKTRACKS):
         candidate = _apply_record_rows(
             probs, PatchRecord(witness.spec, witness.lo, witness.hi, witness.sign, eta)
         )
-        if before - brier_matrix(candidate, labels) >= config.armijo_c * eta * err:
+        if before - brier_matrix(candidate, labels) >= ARMIJO_C * eta * err:
             return eta, candidate
-        eta *= config.armijo_shrink
+        eta *= ARMIJO_SHRINK
     candidate = _apply_record_rows(
         probs, PatchRecord(witness.spec, witness.lo, witness.hi, witness.sign, fallback)
     )
@@ -324,7 +305,7 @@ def fit(cal: LabeledPredictions, config: PatchConfig) -> PatchSequence:
                 PatchRecord(witness.spec, witness.lo, witness.hi, witness.sign, step),
             )
         else:
-            step, new_probs = _choose_armijo_step(probs, labels, witness, err, config)
+            step, new_probs = _choose_armijo_step(probs, labels, witness, err)
         brier_after = brier_matrix(new_probs, labels)
         records.append(
             PatchRecord(witness.spec, witness.lo, witness.hi, witness.sign, step)
@@ -340,7 +321,8 @@ def transform(data, seq: PatchSequence):
 
     Accepts a LabeledPredictions (returns the same type) or a bare
     probability matrix (returns a matrix).  Rows stay on the simplex because
-    every step re-projects.
+    every step re-projects.  Raises :class:`DomainError` when an entry is
+    NaN or infinite.
     """
     if isinstance(data, LabeledPredictions):
         out = transform(data.probs, seq)
@@ -350,6 +332,8 @@ def transform(data, seq: PatchSequence):
         raise DomainError(
             f"expected an n x {seq.C} matrix, got shape {probs.shape}"
         )
+    if not np.all(np.isfinite(probs.sum(axis=1))):
+        raise DomainError("predictions hold NaN or infinite entries")
     for rec in seq.records:
         probs = _apply_record_rows(probs, rec)
     return probs

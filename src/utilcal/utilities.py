@@ -9,25 +9,13 @@ a spec at a prediction ``p`` yields the per-class payoff vector
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ParseError
-
-# The parameter fields each family sets; every other field stays None.
-FAMILY_PARAMS = {
-    "top_class": (),
-    "class_wise": ("c",),
-    "top_k": ("k",),
-    "rank": ("theta",),
-    "linear": ("a",),
-    "dcg": ("gamma",),
-    "decision": ("loss",),
-    "gain_matrix": ("gain",),
-    "similarity": ("sim",),
-}
-FAMILIES = tuple(FAMILY_PARAMS)
 
 DCG_GAMMA_GRID = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
 
@@ -37,15 +25,92 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng((int(seed),) + tuple(int(k) for k in key))
 
 
-def _ro(arr, dtype=np.float64) -> np.ndarray:
-    out = np.ascontiguousarray(np.asarray(arr, dtype=dtype))
-    out.setflags(write=False)
-    return out
+# --- parameter rules ---------------------------------------------------------
 
 
-def _check_range(name: str, arr: np.ndarray, lo: float, hi: float) -> None:
-    if np.any(arr < lo) or np.any(arr > hi):
-        raise DomainError(f"{name} entries must lie in [{lo}, {hi}]")
+@dataclass(frozen=True)
+class IntRange:
+    """An integer in [lo, C + hi_from_C]."""
+
+    lo: int
+    hi_from_C: int
+    parse = staticmethod(int)
+    format = staticmethod(str)
+
+    def coerce(self, name: str, value) -> int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        if value < self.lo:
+            raise DomainError(f"{name} must be >= {self.lo}, got {value}")
+        return int(value)
+
+    def check_dim(self, name: str, value: int, C: int) -> None:
+        if not self.lo <= value <= C + self.hi_from_C:
+            raise DomainError(f"{name}={value} out of range for C={C}")
+
+
+@dataclass(frozen=True)
+class PositiveReal:
+    """A finite real > 0."""
+
+    parse = staticmethod(float)
+    format = staticmethod("{:g}".format)
+
+    def coerce(self, name: str, value) -> float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError(f"{name} must be a real number, got {value!r}")
+        if not (math.isfinite(value) and value > 0):
+            raise DomainError(f"{name} must be a finite real > 0, got {value!r}")
+        return float(value)
+
+    def check_dim(self, name: str, value: float, C: int) -> None:
+        pass
+
+
+@dataclass(frozen=True)
+class BoundedArray:
+    """A non-empty float array of rank ``ndim`` with entries in [lo, hi] and
+    first axis C; ``unit_diagonal`` also asks for a square matrix with ones
+    on its diagonal."""
+
+    ndim: int
+    lo: float
+    hi: float
+    unit_diagonal: bool = False
+
+    def coerce(self, name: str, value) -> np.ndarray:
+        arr = np.ascontiguousarray(np.asarray(value, dtype=np.float64))
+        if arr.ndim != self.ndim or arr.size == 0:
+            raise DomainError(f"{name} must be a non-empty {self.ndim}-D array")
+        # written so that NaN fails too
+        if not np.all((arr >= self.lo) & (arr <= self.hi)):
+            raise DomainError(f"{name} entries must lie in [{self.lo}, {self.hi}]")
+        if self.unit_diagonal and (
+            arr.shape[0] != arr.shape[1] or np.any(np.diag(arr) != 1.0)
+        ):
+            raise DomainError(f"{name} must be a square matrix with unit diagonal")
+        arr.setflags(write=False)
+        return arr
+
+    def check_dim(self, name: str, value: np.ndarray, C: int) -> None:
+        if value.shape[0] != C:
+            raise DomainError(f"{name} has {value.shape[0]} rows, data has C={C}")
+
+
+# Each family's parameters and the rule each follows; every other parameter
+# field of a spec stays None.  Scalar rules also parse and format text.
+FAMILY_PARAMS = {
+    "top_class": {},
+    "class_wise": {"c": IntRange(0, -1)},
+    "top_k": {"k": IntRange(1, 0)},
+    "rank": {"theta": BoundedArray(1, -1.0, 1.0)},
+    "linear": {"a": BoundedArray(1, -1.0, 1.0)},
+    "dcg": {"gamma": PositiveReal()},
+    "decision": {"loss": BoundedArray(2, -1.0, 1.0)},
+    "gain_matrix": {"gain": BoundedArray(2, 0.0, 1.0, unit_diagonal=True)},
+    "similarity": {"sim": BoundedArray(2, -1.0, 1.0, unit_diagonal=True)},
+}
+FAMILIES = tuple(FAMILY_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -67,48 +132,13 @@ class UtilitySpec:
     sim: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        fam = self.family
-        if fam not in FAMILIES:
-            raise DomainError(f"unknown utility family {fam!r}")
-        if fam == "class_wise":
-            if self.c is None or self.c < 0:
-                raise DomainError("class_wise needs a class index c >= 0")
-        elif fam == "top_k":
-            if self.k is None or self.k < 1:
-                raise DomainError("top_k needs K >= 1")
-        elif fam == "rank":
-            theta = _ro(self.theta)
-            _check_range("theta", theta, -1.0, 1.0)
-            object.__setattr__(self, "theta", theta)
-        elif fam == "linear":
-            a = _ro(self.a)
-            _check_range("a", a, -1.0, 1.0)
-            object.__setattr__(self, "a", a)
-        elif fam == "dcg":
-            if self.gamma is None or self.gamma <= 0:
-                raise DomainError("dcg needs gamma > 0")
-        elif fam == "decision":
-            loss = _ro(self.loss)
-            if loss.ndim != 2 or loss.shape[1] < 1:
-                raise DomainError("decision loss must be a C x K matrix")
-            _check_range("loss", loss, -1.0, 1.0)
-            object.__setattr__(self, "loss", loss)
-        elif fam == "gain_matrix":
-            gain = _ro(self.gain)
-            if gain.ndim != 2 or gain.shape[0] != gain.shape[1]:
-                raise DomainError("gain must be a square matrix")
-            _check_range("gain", gain, 0.0, 1.0)
-            if np.any(np.diag(gain) != 1.0):
-                raise DomainError("gain matrix must have unit diagonal")
-            object.__setattr__(self, "gain", gain)
-        elif fam == "similarity":
-            sim = _ro(self.sim)
-            if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
-                raise DomainError("sim must be a square matrix")
-            _check_range("sim", sim, -1.0, 1.0)
-            if np.any(np.diag(sim) != 1.0):
-                raise DomainError("similarity matrix must have unit diagonal")
-            object.__setattr__(self, "sim", sim)
+        if self.family not in FAMILY_PARAMS:
+            raise DomainError(f"unknown utility family {self.family!r}")
+        for name, rule in FAMILY_PARAMS[self.family].items():
+            value = getattr(self, name)
+            if value is None:
+                raise DomainError(f"{self.family} needs parameter {name}")
+            object.__setattr__(self, name, rule.coerce(name, value))
 
     # -- constructors ------------------------------------------------------
 
@@ -118,11 +148,11 @@ class UtilitySpec:
 
     @classmethod
     def class_wise(cls, c: int) -> "UtilitySpec":
-        return cls("class_wise", c=int(c))
+        return cls("class_wise", c=c)
 
     @classmethod
     def top_k(cls, k: int) -> "UtilitySpec":
-        return cls("top_k", k=int(k))
+        return cls("top_k", k=k)
 
     @classmethod
     def rank(cls, theta) -> "UtilitySpec":
@@ -134,7 +164,7 @@ class UtilitySpec:
 
     @classmethod
     def dcg(cls, gamma: float) -> "UtilitySpec":
-        return cls("dcg", gamma=float(gamma))
+        return cls("dcg", gamma=gamma)
 
     @classmethod
     def decision(cls, loss) -> "UtilitySpec":
@@ -151,33 +181,16 @@ class UtilitySpec:
     # -- misc ---------------------------------------------------------------
 
     def label(self) -> str:
-        """Short stable identifier, used as a report key."""
-        if self.family == "class_wise":
-            return f"class_wise_{self.c}"
-        if self.family == "top_k":
-            return f"top_k_{self.k}"
-        if self.family == "dcg":
-            return f"dcg_{self.gamma:g}"
+        """Short stable identifier, used as a report key: the family, plus
+        its scalar parameter if it has one."""
+        for name, rule in FAMILY_PARAMS[self.family].items():
+            if hasattr(rule, "format"):
+                return f"{self.family}_{rule.format(getattr(self, name))}"
         return self.family
 
     def check_dim(self, C: int) -> None:
-        fam = self.family
-        if fam == "class_wise" and not 0 <= self.c < C:
-            raise DomainError(f"class index {self.c} out of range for C={C}")
-        if fam == "top_k" and not 1 <= self.k <= C:
-            raise DomainError(f"K={self.k} out of range for C={C}")
-        if fam == "rank" and self.theta.shape != (C,):
-            raise DomainError(f"theta has length {len(self.theta)}, data has C={C}")
-        if fam == "linear" and self.a.shape != (C,):
-            raise DomainError(f"a has length {len(self.a)}, data has C={C}")
-        if fam == "decision" and self.loss.shape[0] != C:
-            raise DomainError(
-                f"loss has {self.loss.shape[0]} rows, data has C={C}"
-            )
-        if fam == "gain_matrix" and self.gain.shape[0] != C:
-            raise DomainError(f"gain is {self.gain.shape[0]}-square, data has C={C}")
-        if fam == "similarity" and self.sim.shape[0] != C:
-            raise DomainError(f"sim is {self.sim.shape[0]}-square, data has C={C}")
+        for name, rule in FAMILY_PARAMS[self.family].items():
+            rule.check_dim(name, getattr(self, name), C)
 
     def key(self) -> tuple:
         """Hashable identity of the utility: specs with equal keys have the

@@ -167,6 +167,32 @@ class TestEvaluateCmd:
         assert rc == 3
         assert "'K'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "params, code",
+        [
+            ({"family": "class_wise", "params": {"c": 1.5}}, 3),
+            ({"family": "top_k", "params": {"k": 1.5}}, 3),
+            ({"family": "linear", "params": {"a": [float("nan"), 0.0, 0.0]}}, 2),
+        ],
+    )
+    def test_bad_utility_json_params(self, two_point_files, tmp_path, capsys, params, code):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(params))
+        rc = main(["evaluate", "--preds", two_point_files["preds"],
+                   "--labels", two_point_files["labels"],
+                   "--utility", str(spec_path)])
+        assert rc == code
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "token", ["class_wise:abc", "top_k:1.5", "dcg:nan", "dcg:inf", "rank", "top_class:1"]
+    )
+    def test_bad_utility_token_exit_2(self, two_point_files, capsys, token):
+        rc = main(["evaluate", "--preds", two_point_files["preds"],
+                   "--labels", two_point_files["labels"], "--utility", token])
+        assert rc == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
     def test_missing_file_exit_3(self, tmp_path):
         rc = main(["evaluate", "--preds", str(tmp_path / "nope.csv"),
                    "--labels", str(tmp_path / "nope2.csv")])

@@ -38,7 +38,13 @@ from utilcal.estimators import (
     random_instance,
     realized_utility,
 )
-from utilcal.utilities import FAMILIES
+from utilcal.utilities import (
+    FAMILIES,
+    gain_matrix_aligned,
+    sample_decision,
+    sample_linear,
+    sample_rank,
+)
 
 
 def random_preds(rng, n, C):
@@ -99,6 +105,51 @@ class TestResiduals:
             out = eval_utility(spec, d.probs[i])
             assert v[i] == pytest.approx(out.v, abs=1e-12)
             assert u[i] == pytest.approx(out.uvec[d.labels[i]], abs=1e-12)
+
+
+def family_spec(family, C, rng):
+    """One utility of ``family`` on C classes."""
+    sim = rng.uniform(-1.0, 1.0, size=(C, C))
+    sim = (sim + sim.T) / 2.0
+    np.fill_diagonal(sim, 1.0)
+    return {
+        "top_class": lambda: UtilitySpec.top_class(),
+        "class_wise": lambda: UtilitySpec.class_wise(C - 2),
+        "top_k": lambda: UtilitySpec.top_k(2),
+        "rank": lambda: sample_rank(C, rng),
+        "linear": lambda: sample_linear(C, rng),
+        "dcg": lambda: UtilitySpec.dcg(1.5),
+        "decision": lambda: sample_decision(C, 3, rng),
+        "gain_matrix": lambda: gain_matrix_aligned(C, rng),
+        "similarity": lambda: UtilitySpec.similarity(sim),
+    }[family]()
+
+
+class TestFamilyForms:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_scalar_reference(self, family):
+        # every vectorized pass against eval_utility, row by row, on
+        # continuous rows and on rows with ties inside and across rows
+        rng = np.random.default_rng(11)
+        C = 5
+        spec = family_spec(family, C, rng)
+        assert spec.family == family
+        tied_rows = np.array([
+            [0.2, 0.2, 0.2, 0.2, 0.2],
+            [0.4, 0.4, 0.1, 0.1, 0.0],
+            [0.0, 0.3, 0.3, 0.3, 0.1],
+            [0.0, 0.0, 1.0, 0.0, 0.0],
+        ])
+        tied = LabeledPredictions(np.repeat(tied_rows, 5, axis=0), rng.integers(0, C, 20))
+        for d in (random_preds(rng, 60, C), tied):
+            v = predicted_utility(spec, d.probs)
+            u = realized_utility(spec, d.probs, d.labels)
+            uvec = payoff_matrix(spec, d.probs)
+            for i in range(d.n):
+                ref = eval_utility(spec, d.probs[i])
+                assert v[i] == pytest.approx(ref.v, abs=1e-12)
+                assert u[i] == pytest.approx(ref.uvec[d.labels[i]], abs=1e-12)
+                np.testing.assert_allclose(uvec[i], ref.uvec, rtol=0, atol=1e-12)
 
 
 class TestUcHat:
@@ -235,6 +286,20 @@ class TestUcHatPool:
         with pytest.raises(DomainError, match="labels"):
             uc_hat(d, UtilitySpec.top_class())
         with pytest.raises(DomainError, match="labels"):
+            uc_hat_pool(d, comb_pool(3))
+        with pytest.raises(DomainError, match="labels"):
+            uc_hat_oracle(d, UtilitySpec.top_class())
+        with pytest.raises(DomainError, match="labels"):
+            residuals(d, UtilitySpec.top_class())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_raises(self, bad):
+        # a library call that skips validate must not report a number
+        probs = np.array([[0.5, 0.3, 0.2], [bad, 0.5, 0.5], [0.1, 0.1, 0.8]])
+        d = LabeledPredictions(probs, np.array([0, 1, 2]))
+        with pytest.raises(DomainError, match="finite"):
+            uc_hat(d, UtilitySpec.top_class())
+        with pytest.raises(DomainError, match="finite"):
             uc_hat_pool(d, comb_pool(3))
 
 

@@ -14,19 +14,17 @@ from utilcal import (
     PatchRecord,
     PatchSequence,
     UtilitySpec,
-    apply_patch,
     brier,
     comb_pool,
     find_worst_witness,
     fit,
     gen_miscalibrated,
     gen_two_point,
-    project_simplex,
     split,
     transform,
     uc_hat,
 )
-from utilcal.patching import project_simplex_rows
+from utilcal.patching import _apply_record_rows, project_simplex_rows
 from utilcal.utilities import derive_rng
 
 
@@ -38,6 +36,16 @@ def random_dist(rng, S, C):
     w = -np.log1p(-rng.random(S))
     w /= w.sum()
     return FiniteDistribution(sup, w, q)
+
+
+def project_simplex(x):
+    """The row projection applied to one vector, as a one-row matrix."""
+    return project_simplex_rows(np.asarray(x, dtype=np.float64)[None, :])[0]
+
+
+def apply_patch(p, rec):
+    """One patch step on one prediction vector, as a one-row matrix."""
+    return _apply_record_rows(np.asarray(p, dtype=np.float64)[None, :], rec)[0]
 
 
 def perfect_predictor(n=24, C=3):
@@ -89,11 +97,12 @@ class TestProjectSimplex:
         assert np.linalg.norm(y - out) <= np.linalg.norm(y - x) + 1e-10
 
     def test_rows_matches_single(self):
+        # each row is projected on its own: batching changes no bit
         rng = np.random.default_rng(1)
         X = rng.uniform(-2, 2, (50, 6))
         rows = project_simplex_rows(X)
         for i in range(50):
-            assert rows[i] == pytest.approx(project_simplex(X[i]), abs=1e-14)
+            assert np.array_equal(rows[i], project_simplex(X[i]))
 
 
 class TestFindWorstWitness:
@@ -270,6 +279,13 @@ class TestTransform:
         seq = PatchSequence((), 4)
         with pytest.raises(DomainError):
             transform(np.ones((3, 3)) / 3, seq)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_rejected(self, bad):
+        probs = np.full((3, 3), 1.0 / 3.0)
+        probs[1, 2] = bad
+        with pytest.raises(DomainError, match="infinite"):
+            transform(probs, PatchSequence((), 3))
 
     def test_generalization_to_held_out_split(self):
         # patch maps fitted on one half should reduce pool error on the other

@@ -295,6 +295,9 @@ class TestJsonRoundtrip:
             {"family": "class_wise", "params": [1]},
             {"family": "top_k", "params": {"k": "two"}},
             {"family": "linear", "params": {"a": ["x", 0.0]}},
+            {"family": "class_wise", "params": {"c": 1.5}},
+            {"family": "top_k", "params": {"k": 1.5}},
+            {"family": "top_k", "params": {"k": True}},
         ],
     )
     def test_bad_params_parse_error(self, d):
@@ -334,3 +337,24 @@ class TestSpecValidation:
             UtilitySpec.dcg(-1.0)
         with pytest.raises(DomainError):
             UtilitySpec("no_such_family")
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: UtilitySpec.linear([np.nan, 0.0]),
+            lambda: UtilitySpec.rank([np.nan, 0.0]),
+            lambda: UtilitySpec.decision([[0.1], [np.nan]]),
+            lambda: UtilitySpec.similarity([[1.0, np.nan], [np.nan, 1.0]]),
+            lambda: UtilitySpec.dcg(np.nan),
+            lambda: UtilitySpec.dcg(np.inf),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, make):
+        with pytest.raises(DomainError):
+            make()
+
+    def test_non_integer_index_type_error(self):
+        with pytest.raises(TypeError):
+            UtilitySpec.class_wise(1.5)
+        with pytest.raises(TypeError):
+            UtilitySpec.top_k(2.5)
