@@ -127,7 +127,6 @@ def cmd_patch_fit(args) -> int:
         epsilon=args.epsilon,
         max_iters=args.max_iters,
         step_rule=args.step_rule,
-        augment_families=("linear", "rank") if args.augment > 0 else (),
         augment_count=args.augment,
         augment_seed=args.seed,
     )

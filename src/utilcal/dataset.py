@@ -34,10 +34,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class LabeledPredictions:
     """An n x C probability matrix plus n true-class indices.
 
-    Construction checks structure only (shapes, n >= 1, C >= 2); value-level
-    checks are the job of :func:`validate`, so that noisy external data can be
-    loaded, inspected, and optionally repaired.  Arrays are made read-only so
-    instances can be shared across workers.
+    Construction checks shapes (n >= 1, C >= 2) and the two invariants no
+    repair can restore: it raises :class:`ValidationError` when an entry is
+    NaN or infinite or a label lies outside [0, C), so every estimator can
+    rely on them.  The simplex tolerances are the job of :func:`validate`, so
+    that noisy external data can be loaded, inspected, and optionally
+    repaired.  Arrays are made read-only so instances can be shared across
+    workers.
     """
 
     probs: np.ndarray
@@ -59,6 +62,19 @@ class LabeledPredictions:
             raise DomainError(
                 f"labels length {labels.shape[0]} does not match n={n}"
             )
+        # A NaN or infinite entry makes its row sum non-finite: one reduction
+        # per row finds them without an n x C temporary.
+        row_sums = probs.sum(axis=1)
+        finite = np.isfinite(row_sums)
+        if not finite.all():
+            bad = np.flatnonzero(~finite)
+            raise ValidationError(
+                f"{len(bad)} row(s) sum to a non-finite value, e.g. row {bad[0]} "
+                f"sums to {row_sums[bad[0]]}: entries must be finite"
+            )
+        lo, hi = labels.min(), labels.max()
+        if lo < 0 or hi >= c:
+            raise ValidationError(f"labels must lie in [0, {c}), found {lo}..{hi}")
         object.__setattr__(self, "probs", _freeze(probs))
         object.__setattr__(self, "labels", _freeze(labels))
 
@@ -97,18 +113,17 @@ class FiniteDistribution:
         s, c = support.shape
         if weights.shape != (s,) or cond.shape != (s, c):
             raise DomainError("weights/cond_label shapes do not match support")
-        if abs(weights.sum() - 1.0) > EXACT_TOL:
+        # each test is written so that NaN fails it
+        if not abs(weights.sum() - 1.0) <= EXACT_TOL:
             raise DomainError(f"weights sum to {weights.sum()!r}, not 1")
-        if np.any(weights <= 0):
+        if not np.all(weights > 0):
             raise DomainError("all weights must be positive")
-        if np.any(support < -EXACT_TOL) or np.any(
-            np.abs(support.sum(axis=1) - 1.0) > EXACT_TOL
-        ):
-            raise DomainError("support rows must be simplex points")
-        if np.any(cond < -EXACT_TOL) or np.any(
-            np.abs(cond.sum(axis=1) - 1.0) > EXACT_TOL
-        ):
-            raise DomainError("cond_label rows must be simplex points")
+        for name, rows in (("support", support), ("cond_label", cond)):
+            if not (
+                np.all(rows >= -EXACT_TOL)
+                and np.all(np.abs(rows.sum(axis=1) - 1.0) <= EXACT_TOL)
+            ):
+                raise DomainError(f"{name} rows must be simplex points")
         for i in range(s):
             for j in range(i + 1, s):
                 if np.max(np.abs(support[i] - support[j])) <= EXACT_TOL:
@@ -167,7 +182,6 @@ class ValidationReport:
     C: int
     max_row_sum_deviation: float
     min_entry: float
-    label_violations: int
     strict: bool
     renormalized: bool
     corrected: LabeledPredictions | None
@@ -178,7 +192,6 @@ class ValidationReport:
             "C": self.C,
             "max_row_sum_deviation": self.max_row_sum_deviation,
             "min_entry": self.min_entry,
-            "label_violations": self.label_violations,
             "strict": self.strict,
             "renormalized": self.renormalized,
         }
@@ -187,32 +200,20 @@ class ValidationReport:
 def validate(
     preds: LabeledPredictions, renormalize: bool = False
 ) -> ValidationReport:
-    """Check value-level invariants, optionally repairing noisy rows.
+    """Check the simplex tolerances, optionally repairing noisy rows.
 
     Raises :class:`ValidationError` when a row sum deviates from 1 by more
-    than 1e-3 or an entry is below -1e-6 and ``renormalize`` is unset, and
-    always when an entry is NaN or infinite or a label is out of range
-    (renormalization cannot fix either).
+    than 1e-3 or an entry is below -1e-6 and ``renormalize`` is unset.
+    Finite entries and labels in [0, C) need no check here:
+    :class:`LabeledPredictions` holds them from construction on.
     With ``renormalize`` set, entries are clamped to [0, 1] and each row is
     divided by its sum; the corrected data is attached to the report.
     """
     probs, labels = preds.probs, preds.labels
     row_sums = probs.sum(axis=1)
-    # A NaN or infinite entry makes its row sum non-finite, so the sums find
-    # them without another n x C pass.
-    finite = np.isfinite(row_sums)
-    if not finite.all():
-        bad = np.flatnonzero(~finite)
-        raise ValidationError(
-            f"{len(bad)} row(s) sum to a non-finite value, e.g. row {bad[0]} "
-            f"sums to {row_sums[bad[0]]}: entries must be finite"
-        )
     max_dev = float(np.max(np.abs(row_sums - 1.0)))
     min_entry = float(probs.min())
-    bad_labels = int(np.count_nonzero((labels < 0) | (labels >= preds.C)))
 
-    if bad_labels:
-        raise ValidationError(f"{bad_labels} label(s) out of range [0, {preds.C})")
     if not renormalize:
         if max_dev > FATAL_ROW_SUM:
             raise ValidationError(
@@ -236,7 +237,6 @@ def validate(
         C=preds.C,
         max_row_sum_deviation=max_dev,
         min_entry=min_entry,
-        label_violations=bad_labels,
         strict=max_dev <= ROW_SUM_TOL and min_entry >= ENTRY_TOL,
         renormalized=renormalize,
         corrected=corrected,

@@ -32,6 +32,9 @@ ARMIJO_SHRINK = 0.5
 ARMIJO_C = 0.5
 ARMIJO_MAX_BACKTRACKS = 30
 
+# Families of the sampled utilities that augment the pool, taken in turn.
+AUGMENT_FAMILIES = ("linear", "rank")
+
 
 def project_simplex_rows(X: np.ndarray) -> np.ndarray:
     """Row-wise simplex projection."""
@@ -172,14 +175,17 @@ class PatchConfig:
     (:data:`ARMIJO_SHRINK`, :data:`ARMIJO_C`, :data:`ARMIJO_MAX_BACKTRACKS`);
     its initial step optimizes the quadratic Brier upper bound on the masked
     rows and the search falls back to err/C when backtracking fails.
+    ``augment_count`` > 0 adds that many sampled utilities to the pool at
+    each iteration t, their families taken in turn from
+    :data:`AUGMENT_FAMILIES` and utility j drawn from the stream
+    (``augment_seed``, t, j); 0 leaves the pool as it is.
     """
 
     pool: Sequence[UtilitySpec] | None = None
     epsilon: float = 0.01
     max_iters: int | None = None
     step_rule: str = "theoretical"
-    augment_families: tuple[str, ...] = ()
-    augment_count: int = 264
+    augment_count: int = 0
     augment_seed: int = 0
 
 
@@ -226,8 +232,10 @@ def _choose_armijo_step(
     labels: np.ndarray,
     witness: Witness,
     err: float,
+    before: float,
 ) -> tuple[float, np.ndarray]:
-    """Backtracking halving search on the Brier score.
+    """Backtracking halving search on the Brier score, which is ``before``
+    at ``probs``.
 
     Accept eta once the Brier decrease reaches c * eta * err; start from the
     minimizer of the quadratic upper bound on the masked rows.
@@ -243,7 +251,6 @@ def _choose_armijo_step(
     eta = err / denom if denom > 1e-300 else fallback
     eta = min(eta, 2.0)  # PatchRecord caps steps at the Brier range
 
-    before = brier_matrix(probs, labels)
     for _ in range(ARMIJO_MAX_BACKTRACKS):
         candidate = _apply_record_rows(
             probs, PatchRecord(witness.spec, witness.lo, witness.hi, witness.sign, eta)
@@ -284,20 +291,17 @@ def fit(cal: LabeledPredictions, config: PatchConfig) -> PatchSequence:
     labels = cal.labels
     records: list[PatchRecord] = []
     history: list[HistoryEntry] = []
+    brier_before = brier_matrix(probs, labels)
 
     for t in range(max_iters):
         pool_t = list(base_pool)
-        if config.augment_families:
-            for j in range(config.augment_count):
-                fam = config.augment_families[j % len(config.augment_families)]
-                pool_t.append(
-                    sample_utility(fam, C, derive_rng(config.augment_seed, t, j))
-                )
+        for j in range(config.augment_count):
+            fam = AUGMENT_FAMILIES[j % len(AUGMENT_FAMILIES)]
+            pool_t.append(sample_utility(fam, C, derive_rng(config.augment_seed, t, j)))
         preds_t = LabeledPredictions(probs, labels)
         witness, err = find_worst_witness(preds_t, pool_t)
         if err <= config.epsilon:
             break
-        brier_before = brier_matrix(probs, labels)
         if config.step_rule == "theoretical":
             step = err / C
             new_probs = _apply_record_rows(
@@ -305,13 +309,15 @@ def fit(cal: LabeledPredictions, config: PatchConfig) -> PatchSequence:
                 PatchRecord(witness.spec, witness.lo, witness.hi, witness.sign, step),
             )
         else:
-            step, new_probs = _choose_armijo_step(probs, labels, witness, err)
+            step, new_probs = _choose_armijo_step(
+                probs, labels, witness, err, brier_before
+            )
         brier_after = brier_matrix(new_probs, labels)
         records.append(
             PatchRecord(witness.spec, witness.lo, witness.hi, witness.sign, step)
         )
         history.append(HistoryEntry(err, brier_before, brier_after, step))
-        probs = new_probs
+        probs, brier_before = new_probs, brier_after
 
     return PatchSequence(records=tuple(records), C=C, history=tuple(history))
 

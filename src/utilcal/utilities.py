@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -117,8 +117,9 @@ FAMILIES = tuple(FAMILY_PARAMS)
 class UtilitySpec:
     """Tagged parameterization of one utility function.
 
-    Exactly the parameters of ``family`` are set; use the classmethod
-    constructors rather than filling fields by hand.
+    Exactly the parameters of ``family`` are set: construction raises
+    :class:`DomainError` for a missing one or one of another family.  Use
+    the classmethod constructors rather than filling fields by hand.
     """
 
     family: str
@@ -134,11 +135,16 @@ class UtilitySpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILY_PARAMS:
             raise DomainError(f"unknown utility family {self.family!r}")
-        for name, rule in FAMILY_PARAMS[self.family].items():
-            value = getattr(self, name)
-            if value is None:
-                raise DomainError(f"{self.family} needs parameter {name}")
-            object.__setattr__(self, name, rule.coerce(name, value))
+        rules = FAMILY_PARAMS[self.family]
+        for f in fields(self)[1:]:  # every field after family is a parameter
+            value = getattr(self, f.name)
+            if f.name not in rules:
+                if value is not None:
+                    raise DomainError(f"{self.family} takes no parameter {f.name}")
+            elif value is None:
+                raise DomainError(f"{self.family} needs parameter {f.name}")
+            else:
+                object.__setattr__(self, f.name, rules[f.name].coerce(f.name, value))
 
     # -- constructors ------------------------------------------------------
 

@@ -71,7 +71,9 @@ class TestValidateCmd:
                    "--labels", two_point_files["labels"]])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["label_violations"] == 0
+        assert set(report) == {
+            "n", "C", "max_row_sum_deviation", "min_entry", "strict", "renormalized"
+        }
 
     def test_fatal_exit_2(self, tmp_path):
         write_predictions_csv(tmp_path / "bad.csv", np.array([[0.7, 0.7]]))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ class TestValidate:
         report = validate(preds)
         assert report.max_row_sum_deviation == 0.0
         assert report.min_entry == 0.5
-        assert report.label_violations == 0
 
     def test_renormalize_noisy_row(self):
         preds = LabeledPredictions(np.array([[0.5000004, 0.5]]), np.array([0]))
@@ -55,20 +55,18 @@ class TestValidate:
             validate(preds)
 
     def test_label_out_of_range_always_fatal(self):
-        preds = LabeledPredictions(np.array([[0.5, 0.5]]), np.array([2]))
+        # construction rejects it, so no validate call, renormalizing or
+        # not, ever sees it
         with pytest.raises(ValidationError, match="label"):
-            validate(preds)
-        with pytest.raises(ValidationError, match="label"):
-            validate(preds, renormalize=True)
+            LabeledPredictions(np.array([[0.5, 0.5]]), np.array([2]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("renormalize", [False, True])
     def test_non_finite_entry_fatal(self, bad, renormalize):
         probs = np.array([[0.5, 0.5], [0.25, 0.75], [0.5, 0.5]])
         probs[1, 0] = bad
-        preds = LabeledPredictions(probs, np.array([0, 1, 0]))
         with pytest.raises(ValidationError, match="row 1"):
-            validate(preds, renormalize=renormalize)
+            validate(LabeledPredictions(probs, np.array([0, 1, 0])), renormalize)
 
     def test_generators_pass_unrenormalized(self):
         validate(gen_two_point(20))
@@ -87,6 +85,31 @@ class TestLabeledPredictions:
         d = gen_two_point(20)
         with pytest.raises(ValueError):
             d.probs[0, 0] = 0.9
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (2, 1)])  # first and last row
+    def test_non_finite_entry_rejected(self, bad, at):
+        probs = np.full((3, 2), 0.5)
+        probs[at] = bad
+        with pytest.raises(ValidationError, match=f"row {at[0]}.*finite"):
+            LabeledPredictions(probs, np.array([0, 1, 0]))
+
+    def test_construction_allocates_no_n_by_c_temporary(self):
+        # the checks are one reduction per row plus a label min/max; an
+        # n x C mask would cost 10 MB here, a copy 80 MB
+        rng = np.random.default_rng(0)
+        n, C = 20_000, 500
+        probs = rng.random((n, C))
+        probs /= probs.sum(axis=1, keepdims=True)
+        labels = rng.integers(0, C, size=n)
+        tracemalloc.start()
+        try:
+            preds = LabeledPredictions(probs, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert preds.probs is probs
+        assert peak < 1_000_000
 
 
 class TestSplit:
@@ -228,6 +251,19 @@ class TestFiniteDistributionChecks:
             FiniteDistribution(
                 np.array([[0.5, 0.5]]), np.array([1.0]), np.array([[0.5, 0.6]])
             )
+
+    @pytest.mark.parametrize("field", ["support", "weights", "cond_label"])
+    def test_nan_rejected(self, field):
+        # each tolerance test is written so that NaN fails it (an infinite
+        # entry already fails the sum-to-one tests)
+        parts = {
+            "support": np.array([[0.5, 0.5], [0.25, 0.75]]),
+            "weights": np.array([0.5, 0.5]),
+            "cond_label": np.array([[0.5, 0.5], [0.25, 0.75]]),
+        }
+        parts[field].flat[-1] = np.nan
+        with pytest.raises(DomainError):
+            FiniteDistribution(**parts)
 
 
 class TestFileFormats:

@@ -9,6 +9,7 @@ from utilcal import (
     GuardError,
     LabeledPredictions,
     UtilitySpec,
+    ValidationError,
     accuracy,
     brier,
     comb_pool,
@@ -282,25 +283,62 @@ class TestUcHatPool:
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_label_out_of_range(self, bad):
-        d = LabeledPredictions(np.full((4, 3), 1.0 / 3.0), np.array([0, 1, bad, 2]))
-        with pytest.raises(DomainError, match="labels"):
-            uc_hat(d, UtilitySpec.top_class())
-        with pytest.raises(DomainError, match="labels"):
-            uc_hat_pool(d, comb_pool(3))
-        with pytest.raises(DomainError, match="labels"):
-            uc_hat_oracle(d, UtilitySpec.top_class())
-        with pytest.raises(DomainError, match="labels"):
-            residuals(d, UtilitySpec.top_class())
+        # the type rejects it, so no estimator can index class bad mod C
+        with pytest.raises(ValidationError, match="labels"):
+            LabeledPredictions(np.full((4, 3), 1.0 / 3.0), np.array([0, 1, bad, 2]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_row_raises(self, bad):
         # a library call that skips validate must not report a number
         probs = np.array([[0.5, 0.3, 0.2], [bad, 0.5, 0.5], [0.1, 0.1, 0.8]])
-        d = LabeledPredictions(probs, np.array([0, 1, 2]))
+        with pytest.raises(ValidationError, match="finite"):
+            LabeledPredictions(probs, np.array([0, 1, 2]))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_rows_raise(self):
+        # finite rows whose entries overflow the residual sums
+        probs = np.array([[1e308, -1e308], [1e308, -1e308], [0.5, 0.5]])
+        d = LabeledPredictions(probs, np.array([1, 1, 0]))
         with pytest.raises(DomainError, match="finite"):
             uc_hat(d, UtilitySpec.top_class())
         with pytest.raises(DomainError, match="finite"):
-            uc_hat_pool(d, comb_pool(3))
+            uc_hat_pool(d, comb_pool(2))
+
+
+@st.composite
+def boundary_instances(draw):
+    """Small samples at the edges: n = 1, C = 2 up to 64, all rows equal
+    (continuous or uniform), a single label."""
+    C = draw(st.one_of(st.sampled_from([2, 64]), st.integers(2, 64)))
+    n = draw(st.one_of(st.just(1), st.integers(1, 40)))
+    rows = draw(st.sampled_from(["continuous", "equal", "uniform"]))
+    one_label = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = random_preds(rng, n, C).probs
+    if rows == "equal":
+        probs = np.repeat(probs[:1], n, axis=0)
+    elif rows == "uniform":
+        probs = np.full((n, C), 1.0 / C)
+    labels = rng.integers(0, C, size=n)
+    if one_label:
+        labels[:] = labels[0]
+    specs = [family_spec(f, C, rng) for f in FAMILIES] + [
+        UtilitySpec.class_wise(int(rng.integers(C))),
+        UtilitySpec.top_k(int(rng.integers(1, C + 1))),
+        UtilitySpec.top_k(C),
+    ]
+    return LabeledPredictions(probs, labels), specs
+
+
+class TestBoundaryCases:
+    @given(boundary_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_estimators_agree(self, instance):
+        d, specs = instance
+        per_spec = [uc_hat(d, spec) for spec in specs]
+        for spec, est in zip(specs, per_spec):
+            assert abs(est.value - uc_hat_oracle(d, spec)) <= 1e-12
+        assert uc_hat_pool(d, specs + specs[:2]) == per_spec + per_spec[:2]
 
 
 class TestInvariances:

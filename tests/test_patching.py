@@ -234,7 +234,6 @@ class TestFit:
         d = gen_two_point(40)
         cfg = PatchConfig(
             epsilon=0.05,
-            augment_families=("linear", "rank"),
             augment_count=8,
             augment_seed=3,
         )

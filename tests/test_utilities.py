@@ -353,6 +353,20 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             make()
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"family": "top_class", "c": 3},
+            {"family": "top_class", "gamma": 0.5},
+            {"family": "dcg", "gamma": 1.0, "k": 2},
+            {"family": "linear", "a": [0.5, -0.5], "theta": [1.0, 0.0]},
+        ],
+    )
+    def test_foreign_parameter_rejected(self, kwargs):
+        # a stray field would make == disagree with key(), label() and JSON
+        with pytest.raises(DomainError, match="takes no parameter"):
+            UtilitySpec(**kwargs)
+
     def test_non_integer_index_type_error(self):
         with pytest.raises(TypeError):
             UtilitySpec.class_wise(1.5)
