@@ -48,7 +48,12 @@ class LabeledPredictions:
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        raw = np.asarray(self.labels)
+        with np.errstate(invalid="ignore"):  # NaN casts to garbage, caught below
+            labels = raw.astype(np.int64, copy=False)
+        if raw.dtype.kind not in "biu" and not np.array_equal(labels, raw):
+            bad = raw[labels != raw][0]
+            raise ValidationError(f"labels must be integers, found {bad}")
         if probs.ndim != 2:
             raise DomainError(f"probs must be 2-D, got ndim={probs.ndim}")
         if labels.ndim != 1:
@@ -152,13 +157,9 @@ class FiniteDistribution:
     @classmethod
     def from_json_dict(cls, d: dict) -> "FiniteDistribution":
         try:
-            return cls(
-                np.asarray(d["support"], dtype=np.float64),
-                np.asarray(d["weights"], dtype=np.float64),
-                np.asarray(d["cond_label"], dtype=np.float64),
-            )
-        except KeyError as exc:
-            raise ParseError(f"distribution JSON missing key {exc}") from exc
+            return cls(d["support"], d["weights"], d["cond_label"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed distribution JSON: {exc!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -415,13 +416,18 @@ def write_labels_csv(path: str, labels: np.ndarray) -> None:
     np.savetxt(path, labels, fmt="%d", newline="\n")
 
 
-def load_distribution_json(path: str) -> FiniteDistribution:
+def read_json(path: str):
+    """The parsed contents of a JSON file; text that is not JSON (or not
+    UTF-8) raises :class:`ParseError`."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ParseError(f"{path}: {exc}") from exc
-    return FiniteDistribution.from_json_dict(d)
+
+
+def load_distribution_json(path: str) -> FiniteDistribution:
+    return FiniteDistribution.from_json_dict(read_json(path))
 
 
 def write_distribution_json(path: str, dist: FiniteDistribution) -> None:

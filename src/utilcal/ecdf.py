@@ -70,6 +70,8 @@ def ecdf_evaluate(
         raise DomainError(f"family must be one of {ECDF_FAMILIES}, got {family!r}")
     if M < 1:
         raise DomainError("M must be >= 1")
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
     C = preds.C
 
     def one(m: int) -> tuple[float, UtilitySpec]:

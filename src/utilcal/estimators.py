@@ -31,15 +31,17 @@ from .utilities import (
 
 # --- vectorized utility evaluation ----------------------------------------
 
-# Every family's payoff vector uvec(p) takes one of three forms:
+# Every family's payoff vector uvec(p) takes one of four forms:
 #   "column": uvec(p) = G[:, j*], j* = argmax_j (p @ G)_j (first on ties), for
 #             a C x K matrix G; None stands for the C x C identity;
+#   "unit":   uvec(p) = e_c, so v = p_c: the one-column form with G = e_c,
+#             read as column c of p instead of computed as p @ e_c;
 #   "rank":   uvec(p)_j = theta[rank of class j in p - 1], ranks under (-p_j, j);
 #   "dense":  uvec(p) = p @ S.
-# family -> (form, builder of G, theta or S from (spec, C))
+# family -> (form, builder of G, c, theta or S from (spec, C))
 _FORMS = {
     "top_class": ("column", lambda spec, C: None),
-    "class_wise": ("column", lambda spec, C: np.eye(C, 1, -spec.c)),  # e_c
+    "class_wise": ("unit", lambda spec, C: spec.c),
     "linear": ("column", lambda spec, C: spec.a[:, None]),
     "decision": ("column", lambda spec, C: -spec.loss),
     "gain_matrix": ("column", lambda spec, C: spec.gain),
@@ -50,8 +52,8 @@ _FORMS = {
 }
 
 
-def _payoff_form(spec: UtilitySpec, C: int) -> tuple[str, np.ndarray | None]:
-    """(form, G | theta | S) of ``spec`` on C classes; see :data:`_FORMS`."""
+def _payoff_form(spec: UtilitySpec, C: int) -> tuple[str, np.ndarray | int | None]:
+    """(form, G | c | theta | S) of ``spec`` on C classes; see :data:`_FORMS`."""
     spec.check_dim(C)
     form, build = _FORMS[spec.family]
     return form, build(spec, C)
@@ -83,6 +85,8 @@ def predicted_utility(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
         if param.shape[1] == 1:
             return probs @ param[:, 0]
         return (probs @ param).max(axis=1)
+    if form == "unit":  # + 0.0 reads a -0.0 entry as 0.0, as p @ e_c does
+        return probs[:, param] + 0.0
     if form == "rank":
         return np.sort(probs, axis=1)[:, ::-1] @ param
     return np.einsum("ij,ij->i", probs, probs @ param)
@@ -109,6 +113,8 @@ def realized_utility(
         if param.shape[1] == 1:  # 1-D indexing: a mixed index is twice as slow
             return param[:, 0][labels]
         return param[labels, (probs @ param).argmax(axis=1)]
+    if form == "unit":
+        return (labels == param).astype(np.float64)
     if form == "rank":
         if ranks is None:
             ranks = _label_ranks(probs, labels)
@@ -131,6 +137,10 @@ def payoff_matrix(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
         if param.shape[1] == 1:
             return np.broadcast_to(param[:, 0], (n, C)).copy()
         return param[:, (probs @ param).argmax(axis=1)].T
+    if form == "unit":
+        out = np.zeros((n, C))
+        out[:, param] = 1.0
+        return out
     if form == "rank":  # theta[r - 1] goes to the class ranked r
         out = np.empty((n, C))
         order = np.argsort(-probs, axis=1, kind="stable")
@@ -305,79 +315,56 @@ class BinScheme:
         return e
 
 
-def _bin_indices(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(edges, values, side="right") - 1
-    return np.clip(idx, 0, len(edges) - 2)
+def _binned_error(
+    preds: LabeledPredictions, spec: UtilitySpec, scheme: BinScheme
+) -> float:
+    """Unnormalized binned calibration error of a utility: the sum over bins
+    of predicted utility of |sum_{i in bin} (v_i - u_i)|.
 
-
-def _binned_gap_sums(
-    idx: np.ndarray, values: np.ndarray, hits: np.ndarray, n_bins: int
-) -> np.ndarray:
-    """Per-bin sums of (value_i - hit_i) where hits are 0/1 indicators.
-
-    Identical values inside a bin are aggregated as value * count and the hit
-    total is an integer, so the result is bit-identical under row
-    permutations and exact when a bin's masses cancel by counting (e.g. the
-    two-point construction).
+    Identical v values are aggregated as v * count and, for the 0/1
+    utilities, the realized total is an integer, so the result is
+    bit-identical under row permutations and exact when a bin's masses cancel
+    by counting (e.g. the two-point construction).
     """
-    order = np.lexsort((values, idx))
-    bi = idx[order]
-    val = values[order]
-    new_group = np.concatenate(
-        ([True], (bi[1:] != bi[:-1]) | (val[1:] != val[:-1]))
-    )
-    starts = np.flatnonzero(new_group)
-    counts = np.diff(np.concatenate((starts, [len(val)])))
-    prod = val[starts] * counts
-    group_bin = bi[starts]
+    v = predicted_utility(spec, preds.probs)
+    u = realized_utility(spec, preds.probs, preds.labels)
+    edges = scheme.edges(v)
+    n_bins = len(edges) - 1
+
+    def bin_of(x: np.ndarray) -> np.ndarray:
+        return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, n_bins - 1)
+
+    vs = np.sort(v)  # bins are intervals of v: sorted v runs through them in order
+    starts = np.flatnonzero(np.concatenate(([True], vs[1:] != vs[:-1])))
+    group_bin = bin_of(vs[starts])
     bin_starts = np.flatnonzero(
         np.concatenate(([True], group_bin[1:] != group_bin[:-1]))
     )
-    out = np.zeros(n_bins)
-    out[group_bin[bin_starts]] = np.add.reduceat(prod, bin_starts)
-    out -= np.bincount(idx[hits], minlength=n_bins)
-    return out
+    counts = np.diff(np.append(starts, len(vs)))
+    gaps = np.zeros(n_bins)
+    gaps[group_bin[bin_starts]] = np.add.reduceat(vs[starts] * counts, bin_starts)
+    gaps -= np.bincount(bin_of(v), weights=u, minlength=n_bins)
+    return float(np.abs(gaps).sum())
 
 
 def tce_binned(preds: LabeledPredictions, scheme: BinScheme) -> float:
-    """Binned top-class calibration error: per-bin absolute mean gap between
-    top-class confidence and top-class correctness, summed over bins."""
-    i_star = preds.probs.argmax(axis=1)
-    p_star = preds.probs[np.arange(preds.n), i_star]
-    y_star = preds.labels == i_star
-    edges = scheme.edges(p_star)
-    idx = _bin_indices(p_star, edges)
-    terms = _binned_gap_sums(idx, p_star, y_star, len(edges) - 1)
-    return float(np.abs(terms).sum() / preds.n)
+    """Binned top-class calibration error: the binned calibration error of
+    the top_class utility (top-class confidence against correctness)."""
+    return _binned_error(preds, UtilitySpec.top_class(), scheme) / preds.n
 
 
-def cwe_binned(
-    preds: LabeledPredictions,
-    scheme: BinScheme,
-    weights: np.ndarray | None = None,
-) -> float:
-    """Binned class-wise calibration error with per-class edges.
-
-    ``weights`` defaults to uniform 1/C; pass a simplex vector (e.g. the
-    empirical class frequencies) for another weighting.
-    """
-    C = preds.C
-    if weights is None:
-        weights = np.full(C, 1.0 / C)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (C,) or np.any(weights < 0):
-            raise DomainError("weights must be C non-negative reals")
-        if abs(weights.sum() - 1.0) > 1e-9:
-            raise DomainError(f"weights sum to {weights.sum()!r}, not 1")
+def cwe_binned(preds: LabeledPredictions, scheme: BinScheme) -> float:
+    """Binned class-wise calibration error: the mean over classes c of the
+    binned calibration error of the class_wise(c) utility, each class with
+    its own edges."""
     total = 0.0
-    for c in range(C):
-        f_c = preds.probs[:, c]
-        edges = scheme.edges(f_c)
-        idx = _bin_indices(f_c, edges)
-        terms = _binned_gap_sums(idx, f_c, preds.labels == c, len(edges) - 1)
-        total += weights[c] * np.abs(terms).sum() / preds.n
-    return float(total)
+    for c in range(preds.C):
+        total += (
+            (1.0 / preds.C)
+            * _binned_error(preds, UtilitySpec.class_wise(c), scheme)
+            / preds.n
+        )
+    return total
 
 
 def brier_matrix(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -397,7 +384,9 @@ def brier(preds: LabeledPredictions) -> float:
 
 
 def accuracy(preds: LabeledPredictions) -> float:
-    return float(np.mean(preds.probs.argmax(axis=1) == preds.labels))
+    """Mean realized top_class utility."""
+    u = realized_utility(UtilitySpec.top_class(), preds.probs, preds.labels)
+    return float(np.mean(u))
 
 
 # --- exact population quantities -------------------------------------------
@@ -539,7 +528,6 @@ def evaluate_metrics(
     preds: LabeledPredictions,
     scheme: BinScheme = BinScheme(),
     utilities: Sequence[tuple[str, UtilitySpec]] = (),
-    cwe_weights: np.ndarray | None = None,
 ) -> MetricReport:
     """Accuracy, Brier, binned baselines, per-utility worst-interval errors,
     and the max over the class-wise + top-K pool.
@@ -559,7 +547,7 @@ def evaluate_metrics(
         accuracy=accuracy(preds),
         brier=brier(preds),
         tce_binned=tce_binned(preds, scheme),
-        cwe_binned=cwe_binned(preds, scheme, cwe_weights),
+        cwe_binned=cwe_binned(preds, scheme),
         uc_per_utility=uc_map,
         uc_comb=uc_comb,
     )

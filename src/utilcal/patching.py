@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import LabeledPredictions
+from .dataset import LabeledPredictions, read_json
 from .errors import ConfigError, DomainError, ParseError
 from .estimators import brier_matrix, payoff_matrix, predicted_utility, uc_hat_pool
 from .utilities import UtilitySpec, comb_pool, derive_rng, sample_utility
@@ -96,8 +96,8 @@ class PatchRecord:
                 sign=int(d["sign"]),
                 step=float(d["step"]),
             )
-        except KeyError as exc:
-            raise ParseError(f"patch record missing key {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed patch record: {exc!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -147,8 +147,8 @@ class PatchSequence:
                     for h in d.get("history", [])
                 ),
             )
-        except KeyError as exc:
-            raise ParseError(f"patch sequence missing key {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed patch sequence: {exc!r}") from exc
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -157,12 +157,7 @@ class PatchSequence:
 
     @classmethod
     def load(cls, path: str) -> "PatchSequence":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                d = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: {exc}") from exc
-        return cls.from_json_dict(d)
+        return cls.from_json_dict(read_json(path))
 
 
 @dataclass
@@ -214,17 +209,33 @@ def find_worst_witness(
     return witness, best_est.value
 
 
-def _apply_record_rows(probs: np.ndarray, rec: PatchRecord) -> np.ndarray:
-    """One masked corrective step on every row; rows outside the witness
-    interval pass through untouched."""
+def _masked_payoff(
+    probs: np.ndarray, rec: Witness | PatchRecord
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the rows whose predicted utility lies in [lo, hi], and the
+    payoff vectors of those rows."""
     v = predicted_utility(rec.spec, probs)
     mask = (v >= rec.lo) & (v <= rec.hi)
-    if not np.any(mask):
+    return mask, payoff_matrix(rec.spec, probs[mask])
+
+
+def _masked_step(
+    probs: np.ndarray, mask: np.ndarray, uvec: np.ndarray, step: float, sign: int
+) -> np.ndarray:
+    """Masked rows moved along -sign * uvec and projected back onto the
+    simplex; the other rows pass through untouched."""
+    if not len(uvec):
         return probs
+    # project first, so its temporaries are freed before the n x C copy
+    moved = project_simplex_rows(probs[mask] - step * sign * uvec)
     out = probs.copy()
-    uvec = payoff_matrix(rec.spec, probs[mask])
-    out[mask] = project_simplex_rows(probs[mask] - rec.step * rec.sign * uvec)
+    out[mask] = moved
     return out
+
+
+def _apply_record_rows(probs: np.ndarray, rec: PatchRecord) -> np.ndarray:
+    """One masked corrective step on every row."""
+    return _masked_step(probs, *_masked_payoff(probs, rec), rec.step, rec.sign)
 
 
 def _choose_armijo_step(
@@ -238,30 +249,21 @@ def _choose_armijo_step(
     at ``probs``.
 
     Accept eta once the Brier decrease reaches c * eta * err; start from the
-    minimizer of the quadratic upper bound on the masked rows.
+    minimizer of the quadratic upper bound on the masked rows.  The mask and
+    payoff vectors are computed once and shared by every try.
     """
-    C = probs.shape[1]
-    v = predicted_utility(witness.spec, probs)
-    mask = (v >= witness.lo) & (v <= witness.hi)
-    fallback = err / C
-    denom = 0.0
-    if np.any(mask):
-        uvec = payoff_matrix(witness.spec, probs[mask])
-        denom = float(np.mean(np.sum(uvec * uvec, axis=1)))
+    mask, uvec = _masked_payoff(probs, witness)
+    fallback = err / probs.shape[1]
+    denom = float(np.mean(np.sum(uvec * uvec, axis=1))) if len(uvec) else 0.0
     eta = err / denom if denom > 1e-300 else fallback
     eta = min(eta, 2.0)  # PatchRecord caps steps at the Brier range
 
     for _ in range(ARMIJO_MAX_BACKTRACKS):
-        candidate = _apply_record_rows(
-            probs, PatchRecord(witness.spec, witness.lo, witness.hi, witness.sign, eta)
-        )
+        candidate = _masked_step(probs, mask, uvec, eta, witness.sign)
         if before - brier_matrix(candidate, labels) >= ARMIJO_C * eta * err:
             return eta, candidate
         eta *= ARMIJO_SHRINK
-    candidate = _apply_record_rows(
-        probs, PatchRecord(witness.spec, witness.lo, witness.hi, witness.sign, fallback)
-    )
-    return fallback, candidate
+    return fallback, _masked_step(probs, mask, uvec, fallback, witness.sign)
 
 
 def fit(cal: LabeledPredictions, config: PatchConfig) -> PatchSequence:

@@ -8,13 +8,13 @@ a spec at a prediction ``p`` yields the per-class payoff vector
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .dataset import read_json
 from .errors import DomainError, ParseError
 
 DCG_GAMMA_GRID = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
@@ -386,9 +386,4 @@ def dcg_pool() -> list[UtilitySpec]:
 
 
 def load_utility_json(path: str) -> UtilitySpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    return UtilitySpec.from_json_dict(d)
+    return UtilitySpec.from_json_dict(read_json(path))

@@ -59,6 +59,19 @@ class TestSynth:
                    "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "spec",
+        [[1], {"support": [[0.5, 0.5]], "weights": "x", "cond_label": [[0.5, 0.5]]}],
+        ids=["list", "weights-x"],
+    )
+    def test_miscalibrated_malformed_spec_exit_3(self, tmp_path, capsys, spec):
+        spec_path = tmp_path / "dist.json"
+        spec_path.write_text(json.dumps(spec))
+        rc = main(["synth", "miscalibrated", "--spec", str(spec_path),
+                   "--n", "10", "--out", str(tmp_path / "m")])
+        assert rc == 3
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
     def test_bad_n_per_group_exit_2(self, tmp_path):
         rc = main(["synth", "two-point", "--n-per-group", "30",
                    "--out", str(tmp_path / "x")])
@@ -221,6 +234,14 @@ class TestEcdfCmd:
         lines = out.read_text().splitlines()
         assert len(lines) == 2 and lines[0] == "error,cdf"
 
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_thread_count_below_one_exit_2(self, two_point_files, tmp_path, threads):
+        rc = main(["ecdf", "--preds", two_point_files["preds"],
+                   "--labels", two_point_files["labels"],
+                   "--family", "linear", "--m", "5", "--threads", threads,
+                   "--out", str(tmp_path / "e.csv")])
+        assert rc == 2
+
     def test_rerun_byte_identical(self, two_point_files, tmp_path):
         args = ["ecdf", "--preds", two_point_files["preds"],
                 "--labels", two_point_files["labels"],
@@ -274,6 +295,27 @@ class TestPatchCmds:
                    "--preds", two_point_files["preds"],
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 2
+
+
+    @pytest.mark.parametrize(
+        "sequence",
+        [
+            [1, 2],  # a list, not an object
+            {"C": 3, "records": [7]},
+            {"C": 3, "records": [{"spec": {"family": "top_class"}, "lo": "abc",
+                                  "hi": 0.5, "sign": 1, "step": 0.1}]},
+        ],
+        ids=["list", "record-7", "lo-abc"],
+    )
+    def test_apply_malformed_sequence_exit_3(self, tmp_path, two_point_files,
+                                             capsys, sequence):
+        seq_path = tmp_path / "seq.json"
+        seq_path.write_text(json.dumps(sequence))
+        rc = main(["patch-apply", str(seq_path),
+                   "--preds", two_point_files["preds"],
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 3
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 class TestOracleCheckCmd:

@@ -94,6 +94,16 @@ class TestLabeledPredictions:
         with pytest.raises(ValidationError, match=f"row {at[0]}.*finite"):
             LabeledPredictions(probs, np.array([0, 1, 0]))
 
+    @pytest.mark.parametrize("labels", [[1.9, 0.0, 1.0], [0.0, 1.0, 0.5], [0.0, np.nan, 1.0]])
+    def test_non_integer_label_rejected(self, labels):
+        with pytest.raises(ValidationError, match="integers"):
+            LabeledPredictions(np.full((3, 2), 0.5), np.array(labels))
+
+    def test_integral_float_labels_accepted(self):
+        d = LabeledPredictions(np.full((2, 2), 0.5), np.array([1.0, 0.0]))
+        assert d.labels.dtype == np.int64
+        assert d.labels.tolist() == [1, 0]
+
     def test_construction_allocates_no_n_by_c_temporary(self):
         # the checks are one reduction per row plus a label min/max; an
         # n x C mask would cost 10 MB here, a copy 80 MB

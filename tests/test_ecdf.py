@@ -79,6 +79,11 @@ class TestEcdfEvaluate:
         with pytest.raises(DomainError):
             ecdf_evaluate(perfect_predictor(), "decision", M=5, seed=0)
 
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_thread_count_below_one(self, threads):
+        with pytest.raises(DomainError, match="threads"):
+            ecdf_evaluate(perfect_predictor(), "linear", M=5, seed=0, threads=threads)
+
     def test_band_attached(self):
         res = ecdf_evaluate(perfect_predictor(), "linear", M=100, seed=0, delta=0.05)
         assert res.band_halfwidth == pytest.approx(dkw_band(100, 0.05), abs=1e-15)

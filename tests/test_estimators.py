@@ -153,6 +153,14 @@ class TestFamilyForms:
                 np.testing.assert_allclose(uvec[i], ref.uvec, rtol=0, atol=1e-12)
 
 
+    def test_class_wise_reads_the_column(self):
+        # class_wise(c) predicts p_c exactly as p @ e_c does, -0.0 read as 0.0
+        probs = np.array([[-0.0, 1.0, 0.0], [0.25, -0.0, 0.75], [0.5, 0.5, -0.0]])
+        for c in range(3):
+            v = predicted_utility(UtilitySpec.class_wise(c), probs)
+            assert v.tobytes() == (probs @ np.eye(3)[c]).tobytes()
+
+
 class TestUcHat:
     def test_two_point_value_and_witness(self):
         est = uc_hat(gen_two_point(20), UtilitySpec.top_class())
@@ -406,12 +414,52 @@ class TestBinnedBaselines:
             ) / 4
             assert cwe_binned(d, scheme) <= m * cw + 1e-12
 
-    def test_cwe_weights(self):
-        d = random_preds(np.random.default_rng(1), 100, 3)
-        with pytest.raises(DomainError):
-            cwe_binned(d, BinScheme(), weights=np.array([0.5, 0.5, 0.5]))
-        freq = np.bincount(d.labels, minlength=3) / d.n
-        assert cwe_binned(d, BinScheme(), weights=freq) >= 0.0
+    @pytest.mark.parametrize("kind", ["equal-weight", "equal-width"])
+    @pytest.mark.parametrize("m", [1, 3, 15])
+    def test_matches_hand_written_formulas(self, kind, m):
+        # binned utility calibration of top_class and class_wise(c) gives the
+        # very bits of the direct formulas: argmax confidence against 0/1
+        # correctness, and column c against the indicator label == c
+        def gap_sums(idx, values, hits, n_bins):
+            order = np.lexsort((values, idx))
+            bi, val = idx[order], values[order]
+            starts = np.flatnonzero(
+                np.concatenate(([True], (bi[1:] != bi[:-1]) | (val[1:] != val[:-1])))
+            )
+            prod = val[starts] * np.diff(np.concatenate((starts, [len(val)])))
+            group_bin = bi[starts]
+            bin_starts = np.flatnonzero(
+                np.concatenate(([True], group_bin[1:] != group_bin[:-1]))
+            )
+            out = np.zeros(n_bins)
+            out[group_bin[bin_starts]] = np.add.reduceat(prod, bin_starts)
+            out -= np.bincount(idx[hits], minlength=n_bins)
+            return out
+
+        def binned(values, hits):
+            edges = scheme.edges(values)
+            idx = np.clip(
+                np.searchsorted(edges, values, side="right") - 1, 0, len(edges) - 2
+            )
+            return np.abs(gap_sums(idx, values, hits, len(edges) - 1)).sum()
+
+        scheme = BinScheme(kind, m)
+        for seed in range(24):
+            rng = np.random.default_rng(seed)
+            n, C = int(rng.integers(1, 250)), int(rng.integers(2, 41))
+            x = rng.random((n, C)) ** 3
+            if seed % 2:  # repeated rows, at most 20 distinct
+                x = x[rng.integers(0, min(n, 20), size=n)]
+            probs = x / x.sum(axis=1, keepdims=True)
+            d = LabeledPredictions(probs, rng.integers(0, C, size=n))
+            i_star = probs.argmax(axis=1)
+            want_tce = float(binned(probs[np.arange(n), i_star], d.labels == i_star) / n)
+            want_cwe = 0.0
+            for c in range(C):
+                want_cwe += np.float64(1.0 / C) * binned(probs[:, c], d.labels == c) / n
+            assert tce_binned(d, scheme) == want_tce
+            assert cwe_binned(d, scheme) == float(want_cwe)
+            assert accuracy(d) == float(np.mean(i_star == d.labels))
 
     def test_equal_weight_edges_merge_duplicates(self):
         vals = np.array([0.5] * 50 + [0.9] * 50)

@@ -24,6 +24,8 @@ from utilcal import (
     transform,
     uc_hat,
 )
+from utilcal import patching
+from utilcal.estimators import brier_matrix
 from utilcal.patching import _apply_record_rows, project_simplex_rows
 from utilcal.utilities import derive_rng
 
@@ -229,6 +231,33 @@ class TestFit:
         assert all(a >= b for a, b in zip(briers, briers[1:]))
         out = transform(d, seq)
         assert max(uc_hat(out, s).value for s in comb_pool(4)) <= 0.02
+
+    def test_armijo_search_evaluates_the_witness_once(self, monkeypatch):
+        # an overstated error makes the first tries fail the sufficient
+        # decrease test (with the true error the first step always passes);
+        # every try reuses one mask and one payoff matrix
+        d = gen_two_point(20)
+        witness, err = find_worst_witness(d, [UtilitySpec.top_class()])
+        before = brier_matrix(d.probs, d.labels)
+        evaluated, tried = [], []
+
+        def counting(fn, log):
+            def wrapped(*args):
+                log.append(1)
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(
+            patching, "predicted_utility", counting(patching.predicted_utility, evaluated)
+        )
+        monkeypatch.setattr(patching, "brier_matrix", counting(brier_matrix, tried))
+        step, out = patching._choose_armijo_step(
+            d.probs, d.labels, witness, 4 * err, before
+        )
+        assert len(tried) >= 2
+        assert len(evaluated) == 1
+        rec = PatchRecord(witness.spec, witness.lo, witness.hi, witness.sign, step)
+        assert np.array_equal(out, _apply_record_rows(d.probs, rec))
 
     def test_augmented_pool_is_deterministic(self):
         d = gen_two_point(40)
