@@ -219,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1500, help="number of sampled utilities")
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="sweep workers, capped at --m and the core count")
     p.add_argument("--keep-utilities", action="store_true",
                    help="store the sampled utility specs in the sidecar for exact replay")
     p.set_defaults(func=cmd_ecdf)

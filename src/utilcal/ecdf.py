@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -64,7 +65,9 @@ def ecdf_evaluate(
     """Worst-interval error of M utilities sampled from ``family``.
 
     Utility m draws from the stream derived from (seed, m), so the result is
-    byte-identical whatever the worker count.
+    byte-identical whatever the worker count.  The sweep runs on
+    min(threads, M, cores) workers: threads beyond the core count only
+    contend.
     """
     if family not in ECDF_FAMILIES:
         raise DomainError(f"family must be one of {ECDF_FAMILIES}, got {family!r}")
@@ -78,8 +81,9 @@ def ecdf_evaluate(
         spec = sample_utility(family, C, derive_rng(seed, m))
         return uc_hat(preds, spec).value, spec
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, M, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, range(M)))
     else:
         results = [one(m) for m in range(M)]

@@ -213,14 +213,41 @@ def _interval_spread(
 def _merge_ties(v: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort by v and merge exactly-equal v values into blocks of summed
     residuals.  A closed interval cannot separate equal v values, so blocks
-    are the right granularity.  Residuals are ordered within each block so
-    the block sums, hence the estimate, are bit-identical under any row
-    permutation of the input."""
-    order = np.lexsort((r, v))
+    are the right granularity.
+
+    The block values and sums are bit-identical under any row permutation
+    of the input.  Distinct v values admit one sorted order, so without
+    ties each row is its own block.  With ties, each block sums its
+    residuals in ascending order.  Equal residual values are interchangeable
+    addends, and a run of +-0 sums to -0.0 only if every term is -0.0, so
+    any order among equal residuals gives the same bits.  That is why an
+    unstable sort of r, then a stable (radix, for up to 65 535 blocks) sort
+    of the block ids, is enough.  A block that mixes -0.0 and 0.0 in v
+    reports -0.0 when any of its rows holds -0.0, else 0.0.
+    """
+    order = np.argsort(v)
     vs = v[order]
-    rs = r[order]
-    starts = np.flatnonzero(np.concatenate(([True], vs[1:] != vs[:-1])))
-    return vs[starts], np.add.reduceat(rs, starts)
+    fresh = vs[1:] != vs[:-1]
+    if fresh.all():
+        return vs, r[order]
+    starts = np.flatnonzero(np.concatenate(([True], fresh)))
+    block_v = vs[starts]
+    zero = np.flatnonzero(block_v == 0)
+    if zero.size:
+        b = zero[0]
+        end = starts[b + 1] if b + 1 < starts.size else vs.size
+        block_v[b] = -0.0 if np.signbit(vs[starts[b] : end]).any() else 0.0
+    del vs
+    ids = np.empty(v.size, dtype=np.min_scalar_type(starts.size - 1))
+    ids[order[0]] = 0
+    ids[order[1:]] = np.cumsum(fresh, dtype=ids.dtype)
+    del order, fresh
+    order = np.argsort(r)
+    keys = ids[order]
+    del ids
+    order = order[np.argsort(keys, kind="stable")]
+    del keys
+    return block_v, np.add.reduceat(r[order], starts)
 
 
 def _estimate(

@@ -24,7 +24,7 @@ import numpy as np
 from .dataset import LabeledPredictions, read_json
 from .errors import ConfigError, DomainError, ParseError
 from .estimators import brier_matrix, payoff_matrix, predicted_utility, uc_hat_pool
-from .utilities import UtilitySpec, comb_pool, derive_rng, sample_utility
+from .utilities import UtilitySpec, as_int, comb_pool, derive_rng, sample_utility
 
 # Armijo backtracking: shrink factor, sufficient-decrease constant, and the
 # number of halvings tried before falling back to the theoretical step.
@@ -93,7 +93,7 @@ class PatchRecord:
                 spec=UtilitySpec.from_json_dict(d["spec"]),
                 lo=float(d["lo"]),
                 hi=float(d["hi"]),
-                sign=int(d["sign"]),
+                sign=as_int("sign", d["sign"]),
                 step=float(d["step"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -136,7 +136,7 @@ class PatchSequence:
                 records=tuple(
                     PatchRecord.from_json_dict(r) for r in d["records"]
                 ),
-                C=int(d["C"]),
+                C=as_int("C", d["C"]),
                 history=tuple(
                     HistoryEntry(
                         err=float(h["err"]),

@@ -28,6 +28,14 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
 # --- parameter rules ---------------------------------------------------------
 
 
+def as_int(name: str, value) -> int:
+    """``value`` as an int; a bool or a non-integral number is a TypeError
+    (JSON ``3.9`` or ``true`` must not pass as 3 or 1)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class IntRange:
     """An integer in [lo, C + hi_from_C]."""
@@ -38,11 +46,10 @@ class IntRange:
     format = staticmethod(str)
 
     def coerce(self, name: str, value) -> int:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
+        value = as_int(name, value)
         if value < self.lo:
             raise DomainError(f"{name} must be >= {self.lo}, got {value}")
-        return int(value)
+        return value
 
     def check_dim(self, name: str, value: int, C: int) -> None:
         if not self.lo <= value <= C + self.hi_from_C:

@@ -304,8 +304,11 @@ class TestPatchCmds:
             {"C": 3, "records": [7]},
             {"C": 3, "records": [{"spec": {"family": "top_class"}, "lo": "abc",
                                   "hi": 0.5, "sign": 1, "step": 0.1}]},
+            {"C": 3, "records": [{"spec": {"family": "top_class"}, "lo": 0.2,
+                                  "hi": 0.5, "sign": -1.7, "step": 0.1}]},
+            {"C": 2.9, "records": []},
         ],
-        ids=["list", "record-7", "lo-abc"],
+        ids=["list", "record-7", "lo-abc", "sign-float", "C-float"],
     )
     def test_apply_malformed_sequence_exit_3(self, tmp_path, two_point_files,
                                              capsys, sequence):

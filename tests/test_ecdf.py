@@ -69,6 +69,32 @@ class TestEcdfEvaluate:
         b = ecdf_evaluate(d, "linear", M=40, seed=7, threads=3)
         assert np.array_equal(a.errors, b.errors)
 
+    @pytest.mark.parametrize(
+        "threads, M, cores, workers",
+        [(8, 5, 2, 2), (8, 3, 16, 3), (3, 5, 16, 3), (4, 5, None, None),
+         (4, 5, 1, None), (4, 1, 16, None)],
+    )
+    def test_workers_capped_at_cores_and_m(self, monkeypatch, threads, M,
+                                           cores, workers):
+        # workers = min(threads, M, cores); 1 (cpu_count unknown counts as 1)
+        # runs serially without a pool
+        import utilcal.ecdf as ecdf_mod
+
+        seen = []
+
+        class RecordingPool(ecdf_mod.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(ecdf_mod, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(ecdf_mod.os, "cpu_count", lambda: cores)
+        d, _ = gen_calibrated(200, 4, 3, seed=2)
+        res = ecdf_evaluate(d, "linear", M=M, seed=4, threads=threads)
+        assert seen == ([] if workers is None else [workers])
+        serial = ecdf_evaluate(d, "linear", M=M, seed=4)
+        assert np.array_equal(res.errors, serial.errors)
+
     def test_errors_replayable_from_kept_utilities(self):
         d, _ = gen_calibrated(300, 4, 3, seed=5)
         res = ecdf_evaluate(d, "rank", M=10, seed=3, keep_utilities=True)

@@ -313,6 +313,70 @@ class TestUcHatPool:
             uc_hat_pool(d, comb_pool(2))
 
 
+def lexsort_merge_ties(v, r):
+    """The reference tie-merge: one (v, r) lexsort, then a block sum."""
+    order = np.lexsort((r, v))
+    vs = v[order]
+    rs = r[order]
+    starts = np.flatnonzero(np.concatenate(([True], vs[1:] != vs[:-1])))
+    return vs[starts], np.add.reduceat(rs, starts)
+
+
+def tie_merge_case(name, rng):
+    """(v, r) of one tie shape; no block mixes -0.0 and 0.0 in v."""
+    if name == "continuous":
+        return residuals(random_preds(rng, 3000, 6), UtilitySpec.linear(
+            rng.uniform(-1, 1, 6)))
+    if name == "20-distinct-rows":
+        d, _ = gen_calibrated(20000, 10, 20, seed=int(rng.integers(1000)))
+        return residuals(d, UtilitySpec.linear(rng.uniform(-1, 1, 10)))
+    if name == "small-blocks":
+        rows = random_preds(rng, 5000, 5).probs[rng.integers(0, 5000, 20000)]
+        d = LabeledPredictions(rows, rng.integers(0, 5, 20000))
+        return residuals(d, UtilitySpec.top_class())
+    if name == "top_k_C":
+        return residuals(random_preds(rng, 5000, 7), UtilitySpec.top_k(7))
+    # signed zeros, tiny terms and large terms that cancel exactly: the sum
+    # of one block depends on its addend order
+    v = rng.uniform(0.5, 1.0, 30)[rng.integers(0, 30, 4000)]
+    r = rng.choice([0.0, -0.0, 1e-17, -1e-17, 1e16, -1e16, 1.0, -0.5], 4000)
+    return v, r
+
+
+class TestMergeTies:
+    @pytest.mark.parametrize(
+        "case",
+        ["continuous", "20-distinct-rows", "small-blocks", "top_k_C",
+         "cancelling-residuals"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_lexsort_reference_bitwise(self, case, seed):
+        rng = np.random.default_rng(seed)
+        v, r = tie_merge_case(case, rng)
+        perm = rng.permutation(v.size)
+        want_v, want_sum = lexsort_merge_ties(v, r)
+        for args in ((v, r), (v[perm], r[perm])):
+            got_v, got_sum = estimators._merge_ties(*args)
+            assert got_v.tobytes() == want_v.tobytes()
+            assert got_sum.tobytes() == want_sum.tobytes()
+
+    def test_mixed_zero_block_value_independent_of_row_order(self):
+        # equal residuals leave the row order to decide which zero came first
+        v = np.array([-0.0, 0.0, 1.0, 0.0, 0.5])
+        r = np.array([0.25, 0.25, -1.0, 0.25, 0.5])
+        for perm in ([0, 1, 2, 3, 4], [1, 0, 2, 3, 4], [3, 1, 4, 2, 0]):
+            block_v, block_sum = estimators._merge_ties(v[perm], r[perm])
+            assert block_v.tolist() == [0.0, 0.5, 1.0]
+            assert np.signbit(block_v).tolist() == [True, False, False]
+            assert block_sum.tolist() == [0.75, 0.5, -1.0]
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_single_sign_zero_block_keeps_its_sign(self, zero):
+        v = np.array([zero, 1.0, zero, 1.0])
+        block_v, _ = estimators._merge_ties(v, np.array([0.5, -0.5, 0.5, 0.0]))
+        assert np.signbit(block_v).tolist() == [bool(np.signbit(zero)), False]
+
+
 @st.composite
 def boundary_instances(draw):
     """Small samples at the edges: n = 1, C = 2 up to 64, all rows equal
@@ -355,12 +419,22 @@ class TestInvariances:
         d = random_preds(rng, 500, 5)
         perm = rng.permutation(500)
         d2 = LabeledPredictions(d.probs[perm], d.labels[perm])
+        # duplicated rows reach the tie-merge path of every family below
+        dup, _ = gen_calibrated(2000, 5, 20, seed=3)
+        dup_perm = rng.permutation(2000)
+        dup2 = LabeledPredictions(dup.probs[dup_perm], dup.labels[dup_perm])
         for spec in (
             UtilitySpec.top_class(),
             UtilitySpec.linear(rng.uniform(-1, 1, 5)),
             UtilitySpec.dcg(1.0),
+            UtilitySpec.top_k(5),
         ):
             assert uc_hat(d, spec).value == uc_hat(d2, spec).value
+            a, b = uc_hat(dup, spec), uc_hat(dup2, spec)
+            assert a == b
+            assert np.array([a.value, *a.interval]).tobytes() == np.array(
+                [b.value, *b.interval]
+            ).tobytes()
         assert brier(d) == brier(d2)
         assert accuracy(d) == accuracy(d2)
         assert tce_binned(d, BinScheme("equal-width", 15)) == tce_binned(

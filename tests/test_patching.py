@@ -24,7 +24,7 @@ from utilcal import (
     transform,
     uc_hat,
 )
-from utilcal import patching
+from utilcal import ParseError, patching
 from utilcal.estimators import brier_matrix
 from utilcal.patching import _apply_record_rows, project_simplex_rows
 from utilcal.utilities import derive_rng
@@ -352,3 +352,20 @@ class TestPatchSequenceJson:
         d = seq.to_json_dict()
         assert set(d) == {"C", "records", "history"}
         assert set(d["records"][0]) == {"spec", "lo", "hi", "sign", "step"}
+
+    @pytest.mark.parametrize("field", ["sign", "C"])
+    @pytest.mark.parametrize("value", [-1.7, 3.9, True, "1"])
+    def test_non_integer_sign_and_c_rejected(self, field, value):
+        # int() would truncate -1.7 to -1 and 3.9 to 3, and take true and "1"
+        d = {
+            "C": 3,
+            "records": [
+                {"spec": {"family": "top_class"}, "lo": 0.2, "hi": 0.5,
+                 "sign": 1, "step": 0.1}
+            ],
+        }
+        PatchSequence.from_json_dict(d)
+        target = d["records"][0] if field == "sign" else d
+        target[field] = value
+        with pytest.raises(ParseError, match=f"{field} must be an integer"):
+            PatchSequence.from_json_dict(d)
