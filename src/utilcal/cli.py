@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .utilities import FAMILY_PARAMS, UtilitySpec, comb_pool, dcg_pool, load_utility_json
+from .utilities import FAMILY_PARAMS, SAMPLERS, UtilitySpec, comb_pool, dcg_pool, load_utility_json
 
 
 def _load_preds(args) -> dataset.LabeledPredictions:
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ecdf", help="error eCDF over a sampled utility class")
     _add_io_flags(p)
     p.add_argument("--out", required=True, help="eCDF CSV path")
-    p.add_argument("--family", choices=["linear", "rank"], required=True)
+    p.add_argument("--family", choices=list(SAMPLERS), required=True)
     p.add_argument("--m", type=int, default=1500, help="number of sampled utilities")
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
@@ -231,9 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.01)
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--step-rule", choices=["theoretical", "armijo"],
-                   default="theoretical")
+                   default="theoretical",
+                   help="step err/C, or armijo's quadratic-bound step min(err/D, 2)")
     p.add_argument("--augment", type=int, default=0,
-                   help="sampled linear/rank utilities per iteration (0 = off)")
+                   help="sampled utilities per iteration, families taken in turn (0 = off)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_patch_fit)
 

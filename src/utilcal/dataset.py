@@ -34,10 +34,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class LabeledPredictions:
     """An n x C probability matrix plus n true-class indices.
 
-    Construction checks shapes (n >= 1, C >= 2) and the two invariants no
+    Construction checks shapes (n >= 1, C >= 2) and the invariants no
     repair can restore: it raises :class:`ValidationError` when an entry is
-    NaN or infinite or a label lies outside [0, C), so every estimator can
-    rely on them.  The simplex tolerances are the job of :func:`validate`, so
+    NaN, infinite or outside [-1, 2] (far looser than any simplex tolerance)
+    or a label lies outside [0, C), so every estimator can rely on them.
+    The simplex tolerances are the job of :func:`validate`, so
     that noisy external data can be loaded, inspected, and optionally
     repaired.  Arrays are made read-only so instances can be shared across
     workers.
@@ -77,6 +78,9 @@ class LabeledPredictions:
                 f"{len(bad)} row(s) sum to a non-finite value, e.g. row {bad[0]} "
                 f"sums to {row_sums[bad[0]]}: entries must be finite"
             )
+        lo, hi = probs.min(), probs.max()
+        if lo < -1.0 or hi > 2.0:
+            raise ValidationError(f"entries must lie in [-1, 2], found {lo}..{hi}")
         lo, hi = labels.min(), labels.max()
         if lo < 0 or hi >= c:
             raise ValidationError(f"labels must lie in [0, {c}), found {lo}..{hi}")
@@ -129,12 +133,15 @@ class FiniteDistribution:
                 and np.all(np.abs(rows.sum(axis=1) - 1.0) <= EXACT_TOL)
             ):
                 raise DomainError(f"{name} rows must be simplex points")
-        for i in range(s):
-            for j in range(i + 1, s):
-                if np.max(np.abs(support[i] - support[j])) <= EXACT_TOL:
-                    raise DomainError(
-                        f"support points {i} and {j} are not distinct"
-                    )
+        # one comparison of each point against all later ones, so the first
+        # offending pair (i, j) is the lexicographically smallest
+        for i in range(s - 1):
+            gaps = np.max(np.abs(support[i + 1 :] - support[i]), axis=1)
+            close = np.flatnonzero(gaps <= EXACT_TOL)
+            if close.size:
+                raise DomainError(
+                    f"support points {i} and {i + 1 + close[0]} are not distinct"
+                )
         object.__setattr__(self, "support", _freeze(support))
         object.__setattr__(self, "weights", _freeze(weights))
         object.__setattr__(self, "cond_label", _freeze(cond))

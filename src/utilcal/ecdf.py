@@ -18,9 +18,7 @@ import numpy as np
 from .dataset import LabeledPredictions
 from .errors import DomainError
 from .estimators import uc_hat
-from .utilities import UtilitySpec, derive_rng, sample_utility
-
-ECDF_FAMILIES = ("linear", "rank")
+from .utilities import SAMPLERS, UtilitySpec, derive_rng, sample_utility
 
 
 @dataclass(frozen=True)
@@ -69,8 +67,8 @@ def ecdf_evaluate(
     min(threads, M, cores) workers: threads beyond the core count only
     contend.
     """
-    if family not in ECDF_FAMILIES:
-        raise DomainError(f"family must be one of {ECDF_FAMILIES}, got {family!r}")
+    if family not in SAMPLERS:
+        raise DomainError(f"family must be one of {tuple(SAMPLERS)}, got {family!r}")
     if M < 1:
         raise DomainError("M must be >= 1")
     if threads < 1:

@@ -184,13 +184,9 @@ def _interval_spread(
     Returns (spread, (lo, hi), sign) where [lo, hi] is the witness interval
     in v-space and sign the orientation.  Prefix extrema ties resolve to the
     earliest index; when every prefix is zero the supremum 0 is witnessed by
-    a degenerate interval at the first block.  Raises :class:`DomainError`
-    when the total is not finite: finite entries of huge magnitude (a row
-    such as (1e308, -1e308) sums to 0) overflow the utilities or their sums.
+    a degenerate interval at the first block.
     """
     prefix = np.concatenate(([0.0], np.cumsum(block_sums)))
-    if not np.isfinite(prefix[-1]):
-        raise DomainError("residuals are not finite: prediction entries overflow")
     b_max = int(np.argmax(prefix))
     b_min = int(np.argmin(prefix))
     spread = float(prefix[b_max] - prefix[b_min])

@@ -7,6 +7,14 @@ the theoretical step err/C the Brier score drops by at least err^2/C per
 iteration, which both guarantees termination and makes the recalibration
 safe: it can only improve the proper score.
 
+The ``armijo`` rule takes the quadratic-bound step eta = min(err/D, 2), with D
+the mean squared payoff norm over the masked rows.  Before projection (which
+only adds to the decrease) it changes Brier by -2 eta err + eta^2 (m/n) D for
+m masked rows of n, so it lowers Brier by at least eta * err: twice the
+sufficient decrease an Armijo search with constant 1/2 asks for (Armijo,
+Pacific J. Math. 1966), so no search is needed.  Since D <= C, the decrease
+is also at least err^2/C, the theoretical rule's guarantee.
+
 The fitted result is a serializable list of (utility, interval, sign, step)
 records; because each record is a function of the prediction vector alone,
 the map transfers to unseen predictions.
@@ -24,16 +32,7 @@ import numpy as np
 from .dataset import LabeledPredictions, read_json
 from .errors import ConfigError, DomainError, ParseError
 from .estimators import brier_matrix, payoff_matrix, predicted_utility, uc_hat_pool
-from .utilities import UtilitySpec, as_int, comb_pool, derive_rng, sample_utility
-
-# Armijo backtracking: shrink factor, sufficient-decrease constant, and the
-# number of halvings tried before falling back to the theoretical step.
-ARMIJO_SHRINK = 0.5
-ARMIJO_C = 0.5
-ARMIJO_MAX_BACKTRACKS = 30
-
-# Families of the sampled utilities that augment the pool, taken in turn.
-AUGMENT_FAMILIES = ("linear", "rank")
+from .utilities import SAMPLERS, UtilitySpec, as_int, comb_pool, derive_rng, sample_utility
 
 
 def project_simplex_rows(X: np.ndarray) -> np.ndarray:
@@ -166,13 +165,13 @@ class PatchConfig:
 
     ``pool`` defaults to the class-wise + top-K pool of the calibration data;
     ``max_iters`` defaults to the theoretical-step termination bound
-    ceil(2C/epsilon^2) + 1.  The Armijo rule is the standard halving search
-    (:data:`ARMIJO_SHRINK`, :data:`ARMIJO_C`, :data:`ARMIJO_MAX_BACKTRACKS`);
-    its initial step optimizes the quadratic Brier upper bound on the masked
-    rows and the search falls back to err/C when backtracking fails.
+    ceil(2C/epsilon^2) + 1.  ``step_rule`` is ``"theoretical"`` (step err/C)
+    or ``"armijo"``: the quadratic-bound step eta = min(err/D, 2), which
+    lowers Brier by at least eta * err (twice an Armijo 1966 search's
+    sufficient decrease) and by at least err^2/C; see the module docstring.
     ``augment_count`` > 0 adds that many sampled utilities to the pool at
     each iteration t, their families taken in turn from
-    :data:`AUGMENT_FAMILIES` and utility j drawn from the stream
+    :data:`utilcal.utilities.SAMPLERS` and utility j drawn from the stream
     (``augment_seed``, t, j); 0 leaves the pool as it is.
     """
 
@@ -239,39 +238,26 @@ def _apply_record_rows(probs: np.ndarray, rec: PatchRecord) -> np.ndarray:
 
 
 def _choose_armijo_step(
-    probs: np.ndarray,
-    labels: np.ndarray,
-    witness: Witness,
-    err: float,
-    before: float,
+    probs: np.ndarray, witness: Witness, err: float
 ) -> tuple[float, np.ndarray]:
-    """Backtracking halving search on the Brier score, which is ``before``
-    at ``probs``.
+    """The quadratic-bound step min(err/D, 2) and the rows it moves to.
 
-    Accept eta once the Brier decrease reaches c * eta * err; start from the
-    minimizer of the quadratic upper bound on the masked rows.  The mask and
-    payoff vectors are computed once and shared by every try.
+    D > 0 here: a step is taken only when err > epsilon > 0, the witness
+    interval's ends are observed v values so some row is masked, and a
+    masked payoff entry reaches err/2 in size.  The cap 2 is the step range
+    of :class:`PatchRecord`.
     """
     mask, uvec = _masked_payoff(probs, witness)
-    fallback = err / probs.shape[1]
-    denom = float(np.mean(np.sum(uvec * uvec, axis=1))) if len(uvec) else 0.0
-    eta = err / denom if denom > 1e-300 else fallback
-    eta = min(eta, 2.0)  # PatchRecord caps steps at the Brier range
-
-    for _ in range(ARMIJO_MAX_BACKTRACKS):
-        candidate = _masked_step(probs, mask, uvec, eta, witness.sign)
-        if before - brier_matrix(candidate, labels) >= ARMIJO_C * eta * err:
-            return eta, candidate
-        eta *= ARMIJO_SHRINK
-    return fallback, _masked_step(probs, mask, uvec, fallback, witness.sign)
+    eta = min(err / float(np.mean(np.sum(uvec * uvec, axis=1))), 2.0)
+    return eta, _masked_step(probs, mask, uvec, eta, witness.sign)
 
 
 def fit(cal: LabeledPredictions, config: PatchConfig) -> PatchSequence:
     """Run the patching loop on a calibration set.
 
     Stops once the worst pool error is at most epsilon or the iteration cap
-    is hit.  The Brier score never increases; with theoretical steps each
-    applied iteration decreases it by at least err^2/C.
+    is hit.  Under either step rule each applied iteration decreases the
+    Brier score by at least err^2/C.
     """
     if config.epsilon <= 0:
         raise ConfigError(f"epsilon must be positive, got {config.epsilon}")
@@ -289,6 +275,7 @@ def fit(cal: LabeledPredictions, config: PatchConfig) -> PatchSequence:
     if config.step_rule not in ("theoretical", "armijo"):
         raise ConfigError(f"unknown step rule {config.step_rule!r}")
 
+    families = tuple(SAMPLERS)
     probs = cal.probs.copy()
     labels = cal.labels
     records: list[PatchRecord] = []
@@ -298,7 +285,7 @@ def fit(cal: LabeledPredictions, config: PatchConfig) -> PatchSequence:
     for t in range(max_iters):
         pool_t = list(base_pool)
         for j in range(config.augment_count):
-            fam = AUGMENT_FAMILIES[j % len(AUGMENT_FAMILIES)]
+            fam = families[j % len(families)]
             pool_t.append(sample_utility(fam, C, derive_rng(config.augment_seed, t, j)))
         preds_t = LabeledPredictions(probs, labels)
         witness, err = find_worst_witness(preds_t, pool_t)
@@ -311,9 +298,7 @@ def fit(cal: LabeledPredictions, config: PatchConfig) -> PatchSequence:
                 PatchRecord(witness.spec, witness.lo, witness.hi, witness.sign, step),
             )
         else:
-            step, new_probs = _choose_armijo_step(
-                probs, labels, witness, err, brier_before
-            )
+            step, new_probs = _choose_armijo_step(probs, witness, err)
         brier_after = brier_matrix(new_probs, labels)
         records.append(
             PatchRecord(witness.spec, witness.lo, witness.hi, witness.sign, step)

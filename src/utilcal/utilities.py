@@ -370,12 +370,16 @@ def gain_matrix_misaligned(
     return UtilitySpec.gain_matrix(R)
 
 
+# The sampled utility classes: the families ecdf sweeps and the CLI's
+# --family accept, and the order patching's pool augmentation takes them in.
+SAMPLERS = {"linear": sample_linear, "rank": sample_rank}
+
+
 def sample_utility(family: str, C: int, rng: np.random.Generator) -> UtilitySpec:
-    if family == "linear":
-        return sample_linear(C, rng)
-    if family == "rank":
-        return sample_rank(C, rng)
-    raise DomainError(f"no sampler for family {family!r}")
+    """One utility drawn by ``family``'s entry in :data:`SAMPLERS`."""
+    if family not in SAMPLERS:
+        raise DomainError(f"family must be one of {tuple(SAMPLERS)}, got {family!r}")
+    return SAMPLERS[family](C, rng)
 
 
 def comb_pool(C: int) -> list[UtilitySpec]:

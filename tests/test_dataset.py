@@ -99,6 +99,18 @@ class TestLabeledPredictions:
         with pytest.raises(ValidationError, match="integers"):
             LabeledPredictions(np.full((3, 2), 0.5), np.array(labels))
 
+    @pytest.mark.parametrize(
+        "rows", [[[1e308, -1e308], [0.5, 0.5]], [[0.5, 0.5], [2.5, -1.5]]]
+    )
+    def test_entries_outside_bound_rejected(self, rows):
+        # huge finite entries would give brier inf and a binned TCE of 5e307
+        with pytest.raises(ValidationError, match=r"\[-1, 2\]"):
+            LabeledPredictions(np.array(rows), np.array([0, 1]))
+
+    def test_entries_at_bound_accepted(self):
+        d = LabeledPredictions(np.array([[2.0, -1.0], [-1.0, 2.0]]), np.array([0, 1]))
+        assert d.probs.min() == -1.0 and d.probs.max() == 2.0
+
     def test_integral_float_labels_accepted(self):
         d = LabeledPredictions(np.full((2, 2), 0.5), np.array([1.0, 0.0]))
         assert d.labels.dtype == np.int64
@@ -261,6 +273,18 @@ class TestFiniteDistributionChecks:
             FiniteDistribution(
                 np.array([[0.5, 0.5]]), np.array([1.0]), np.array([[0.5, 0.6]])
             )
+
+    def test_near_duplicate_support_named(self):
+        # points 1 and 6 differ by 1e-13 and point 2 sits between them in
+        # lexicographic order; the later pair (3, 7) is an exact duplicate
+        x = [0.3, 0.3, 0.4]
+        support = np.array([
+            [0.2, 0.2, 0.6], x, [0.3, 0.35, 0.35], [0.1, 0.1, 0.8],
+            [0.5, 0.25, 0.25], [0.05, 0.9, 0.05], [0.3 + 1e-13, 0.3 - 1e-13, 0.4],
+            [0.1, 0.1, 0.8], [0.6, 0.2, 0.2],
+        ])
+        with pytest.raises(DomainError, match="support points 1 and 6 are not distinct"):
+            FiniteDistribution(support, np.full(9, 1 / 9), support)
 
     @pytest.mark.parametrize("field", ["support", "weights", "cond_label"])
     def test_nan_rejected(self, field):

@@ -302,15 +302,12 @@ class TestUcHatPool:
         with pytest.raises(ValidationError, match="finite"):
             LabeledPredictions(probs, np.array([0, 1, 2]))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_rows_raise(self):
-        # finite rows whose entries overflow the residual sums
+        # finite rows whose entries would overflow the residual sums are
+        # rejected where the sample is built, so no estimator sees them
         probs = np.array([[1e308, -1e308], [1e308, -1e308], [0.5, 0.5]])
-        d = LabeledPredictions(probs, np.array([1, 1, 0]))
-        with pytest.raises(DomainError, match="finite"):
-            uc_hat(d, UtilitySpec.top_class())
-        with pytest.raises(DomainError, match="finite"):
-            uc_hat_pool(d, comb_pool(2))
+        with pytest.raises(ValidationError, match=r"\[-1, 2\]"):
+            LabeledPredictions(probs, np.array([1, 1, 0]))
 
 
 def lexsort_merge_ties(v, r):

@@ -25,7 +25,7 @@ from utilcal import (
     uc_hat,
 )
 from utilcal import ParseError, patching
-from utilcal.estimators import brier_matrix
+from utilcal.estimators import predicted_utility
 from utilcal.patching import _apply_record_rows, project_simplex_rows
 from utilcal.utilities import derive_rng
 
@@ -232,29 +232,39 @@ class TestFit:
         out = transform(d, seq)
         assert max(uc_hat(out, s).value for s in comb_pool(4)) <= 0.02
 
-    def test_armijo_search_evaluates_the_witness_once(self, monkeypatch):
-        # an overstated error makes the first tries fail the sufficient
-        # decrease test (with the true error the first step always passes);
-        # every try reuses one mask and one payoff matrix
+    @pytest.mark.parametrize("augment", [0, 8, 30])
+    def test_armijo_steps_meet_both_decrease_bounds(self, augment):
+        # the quadratic-bound step lowers Brier by at least eta * err, and
+        # since D <= C by at least err^2/C, the theoretical rule's guarantee
+        rng = derive_rng(41, augment)
+        C = 3 + augment // 5
+        probs = rng.dirichlet(np.full(C, 0.5), size=1500)
+        sharp = probs**3 / np.sum(probs**3, axis=1, keepdims=True)
+        labels = (rng.random((1500, 1)) > np.cumsum(sharp, axis=1)).sum(axis=1)
+        d = LabeledPredictions(probs, np.minimum(labels, C - 1))
+        seq = fit(d, PatchConfig(epsilon=0.01, max_iters=60, step_rule="armijo",
+                                 augment_count=augment, augment_seed=augment))
+        assert len(seq.history) >= 10
+        for h in seq.history:
+            drop = h.brier_before - h.brier_after
+            assert drop >= h.step * h.err - 1e-12
+            assert drop >= h.err**2 / C - 1e-12
+
+    def test_armijo_step_evaluates_the_witness_once(self, monkeypatch):
+        # the step is its closed form: one predicted-utility pass for the
+        # mask and payoff, and no Brier pass (fit computes the one it needs)
         d = gen_two_point(20)
         witness, err = find_worst_witness(d, [UtilitySpec.top_class()])
-        before = brier_matrix(d.probs, d.labels)
-        evaluated, tried = [], []
+        evaluated = []
 
-        def counting(fn, log):
-            def wrapped(*args):
-                log.append(1)
-                return fn(*args)
-            return wrapped
+        def counting(*args):
+            evaluated.append(1)
+            return predicted_utility(*args)
 
-        monkeypatch.setattr(
-            patching, "predicted_utility", counting(patching.predicted_utility, evaluated)
-        )
-        monkeypatch.setattr(patching, "brier_matrix", counting(brier_matrix, tried))
-        step, out = patching._choose_armijo_step(
-            d.probs, d.labels, witness, 4 * err, before
-        )
-        assert len(tried) >= 2
+        monkeypatch.setattr(patching, "predicted_utility", counting)
+        monkeypatch.setattr(patching, "brier_matrix", None)  # a call raises
+        step, out = patching._choose_armijo_step(d.probs, witness, err)
+        monkeypatch.undo()
         assert len(evaluated) == 1
         rec = PatchRecord(witness.spec, witness.lo, witness.hi, witness.sign, step)
         assert np.array_equal(out, _apply_record_rows(d.probs, rec))
