@@ -75,12 +75,14 @@ def _write_json(path: str | None, payload: dict) -> None:
 
 
 def cmd_validate(args) -> int:
+    if args.out is not None and not args.renormalize:
+        raise DomainError("--out needs --renormalize")
     probs = dataset.load_predictions_csv(args.preds, header=args.header)
     labels = dataset.load_labels_csv(args.labels, header=args.header)
     preds = dataset.LabeledPredictions(probs, labels)
     report = dataset.validate(preds, renormalize=args.renormalize)
     _write_json(None, report.to_json_dict())
-    if args.renormalize and args.out is not None and report.corrected is not None:
+    if args.out is not None:
         dataset.write_predictions_csv(args.out, report.corrected.probs)
     return 0
 
@@ -126,7 +128,6 @@ def cmd_patch_fit(args) -> int:
     config = patching.PatchConfig(
         epsilon=args.epsilon,
         max_iters=args.max_iters,
-        step_rule=args.step_rule,
         augment_count=args.augment,
         augment_seed=args.seed,
     )
@@ -230,9 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="PatchSequence JSON path")
     p.add_argument("--epsilon", type=float, default=0.01)
     p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--step-rule", choices=["theoretical", "armijo"],
-                   default="theoretical",
-                   help="step err/C, or armijo's quadratic-bound step min(err/D, 2)")
     p.add_argument("--augment", type=int, default=0,
                    help="sampled utilities per iteration, families taken in turn (0 = off)")
     p.add_argument("--seed", type=int, default=0)

@@ -628,8 +628,13 @@ def oracle_trials(
 
     Returns (max absolute difference, list of failing trial indices); a trial
     fails when the difference exceeds 1e-12.  ``inject_fault`` perturbs the
-    first trial's estimate, for exercising the failure path.
+    first trial's estimate, for exercising the failure path.  Raises
+    :class:`DomainError` unless trials >= 1, n_max >= 1 and c_max >= 2.
     """
+    if trials < 1 or n_max < 1 or c_max < 2:
+        raise DomainError(
+            f"need trials >= 1, n_max >= 1 and c_max >= 2, got {trials}, {n_max}, {c_max}"
+        )
     max_diff = 0.0
     failures: list[int] = []
     for t in range(trials):

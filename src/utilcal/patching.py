@@ -2,18 +2,17 @@
 
 Each iteration finds the worst interval witness over a utility pool and
 nudges every prediction whose predicted utility falls in that interval
-against the witnessed violation, then projects back onto the simplex.  With
-the theoretical step err/C the Brier score drops by at least err^2/C per
-iteration, which both guarantees termination and makes the recalibration
-safe: it can only improve the proper score.
+against the witnessed violation, then projects back onto the simplex.
 
-The ``armijo`` rule takes the quadratic-bound step eta = min(err/D, 2), with D
-the mean squared payoff norm over the masked rows.  Before projection (which
-only adds to the decrease) it changes Brier by -2 eta err + eta^2 (m/n) D for
-m masked rows of n, so it lowers Brier by at least eta * err: twice the
+The step is the quadratic-bound step eta = min(err/D, 2), with D the mean
+squared payoff norm over the masked rows.  Before projection (which only
+adds to the decrease) it changes Brier by -2 eta err + eta^2 (m/n) D for m
+masked rows of n, so it lowers Brier by at least eta * err: twice the
 sufficient decrease an Armijo search with constant 1/2 asks for (Armijo,
 Pacific J. Math. 1966), so no search is needed.  Since D <= C, the decrease
-is also at least err^2/C, the theoretical rule's guarantee.
+is also at least err^2/C, which both guarantees termination within
+ceil(2C/epsilon^2) + 1 steps and makes the recalibration safe: it can only
+improve the proper score.
 
 The fitted result is a serializable list of (utility, interval, sign, step)
 records; because each record is a function of the prediction vector alone,
@@ -164,21 +163,16 @@ class PatchConfig:
     """Recalibration hyperparameters.
 
     ``pool`` defaults to the class-wise + top-K pool of the calibration data;
-    ``max_iters`` defaults to the theoretical-step termination bound
-    ceil(2C/epsilon^2) + 1.  ``step_rule`` is ``"theoretical"`` (step err/C)
-    or ``"armijo"``: the quadratic-bound step eta = min(err/D, 2), which
-    lowers Brier by at least eta * err (twice an Armijo 1966 search's
-    sufficient decrease) and by at least err^2/C; see the module docstring.
-    ``augment_count`` > 0 adds that many sampled utilities to the pool at
-    each iteration t, their families taken in turn from
-    :data:`utilcal.utilities.SAMPLERS` and utility j drawn from the stream
-    (``augment_seed``, t, j); 0 leaves the pool as it is.
+    ``max_iters`` defaults to the termination bound ceil(2C/epsilon^2) + 1
+    that the module docstring proves.  ``augment_count`` > 0 adds that many
+    sampled utilities to the pool at each iteration t, their families taken
+    in turn from :data:`utilcal.utilities.SAMPLERS` and utility j drawn from
+    the stream (``augment_seed``, t, j); 0 leaves the pool as it is.
     """
 
     pool: Sequence[UtilitySpec] | None = None
     epsilon: float = 0.01
     max_iters: int | None = None
-    step_rule: str = "theoretical"
     augment_count: int = 0
     augment_seed: int = 0
 
@@ -218,49 +212,45 @@ def _masked_payoff(
     return mask, payoff_matrix(rec.spec, probs[mask])
 
 
-def _masked_step(
-    probs: np.ndarray, mask: np.ndarray, uvec: np.ndarray, step: float, sign: int
-) -> np.ndarray:
-    """Masked rows moved along -sign * uvec and projected back onto the
-    simplex; the other rows pass through untouched."""
+def _apply_record_rows(probs: np.ndarray, rec: PatchRecord) -> np.ndarray:
+    """One masked corrective step on every row: the masked rows move along
+    -sign * uvec and are projected back onto the simplex; the other rows
+    pass through untouched."""
+    mask, uvec = _masked_payoff(probs, rec)
     if not len(uvec):
         return probs
     # project first, so its temporaries are freed before the n x C copy
-    moved = project_simplex_rows(probs[mask] - step * sign * uvec)
+    moved = project_simplex_rows(probs[mask] - rec.step * rec.sign * uvec)
     out = probs.copy()
     out[mask] = moved
     return out
 
 
-def _apply_record_rows(probs: np.ndarray, rec: PatchRecord) -> np.ndarray:
-    """One masked corrective step on every row."""
-    return _masked_step(probs, *_masked_payoff(probs, rec), rec.step, rec.sign)
-
-
-def _choose_armijo_step(
-    probs: np.ndarray, witness: Witness, err: float
-) -> tuple[float, np.ndarray]:
-    """The quadratic-bound step min(err/D, 2) and the rows it moves to.
+def _step_size(probs: np.ndarray, witness: Witness, err: float) -> float:
+    """The quadratic-bound step min(err/D, 2).
 
     D > 0 here: a step is taken only when err > epsilon > 0, the witness
     interval's ends are observed v values so some row is masked, and a
     masked payoff entry reaches err/2 in size.  The cap 2 is the step range
     of :class:`PatchRecord`.
     """
-    mask, uvec = _masked_payoff(probs, witness)
-    eta = min(err / float(np.mean(np.sum(uvec * uvec, axis=1))), 2.0)
-    return eta, _masked_step(probs, mask, uvec, eta, witness.sign)
+    _, uvec = _masked_payoff(probs, witness)
+    return min(err / float(np.mean(np.sum(uvec * uvec, axis=1))), 2.0)
 
 
 def fit(cal: LabeledPredictions, config: PatchConfig) -> PatchSequence:
     """Run the patching loop on a calibration set.
 
     Stops once the worst pool error is at most epsilon or the iteration cap
-    is hit.  Under either step rule each applied iteration decreases the
-    Brier score by at least err^2/C.
+    is hit.  Each applied iteration takes the step of :func:`_step_size` and
+    decreases the Brier score by at least step * err and at least err^2/C.
+    Raises :class:`ConfigError` when epsilon is not positive (NaN included),
+    augment_count is negative or the iteration cap is below 1.
     """
-    if config.epsilon <= 0:
+    if not config.epsilon > 0:
         raise ConfigError(f"epsilon must be positive, got {config.epsilon}")
+    if config.augment_count < 0:
+        raise ConfigError(f"augment_count must be >= 0, got {config.augment_count}")
     C = cal.C
     base_pool = list(config.pool) if config.pool is not None else comb_pool(C)
     for spec in base_pool:
@@ -272,8 +262,6 @@ def fit(cal: LabeledPredictions, config: PatchConfig) -> PatchSequence:
     )
     if max_iters < 1:
         raise ConfigError("max_iters must be >= 1")
-    if config.step_rule not in ("theoretical", "armijo"):
-        raise ConfigError(f"unknown step rule {config.step_rule!r}")
 
     families = tuple(SAMPLERS)
     probs = cal.probs.copy()
@@ -291,20 +279,13 @@ def fit(cal: LabeledPredictions, config: PatchConfig) -> PatchSequence:
         witness, err = find_worst_witness(preds_t, pool_t)
         if err <= config.epsilon:
             break
-        if config.step_rule == "theoretical":
-            step = err / C
-            new_probs = _apply_record_rows(
-                probs,
-                PatchRecord(witness.spec, witness.lo, witness.hi, witness.sign, step),
-            )
-        else:
-            step, new_probs = _choose_armijo_step(probs, witness, err)
-        brier_after = brier_matrix(new_probs, labels)
-        records.append(
-            PatchRecord(witness.spec, witness.lo, witness.hi, witness.sign, step)
-        )
+        step = _step_size(probs, witness, err)
+        rec = PatchRecord(witness.spec, witness.lo, witness.hi, witness.sign, step)
+        probs = _apply_record_rows(probs, rec)
+        brier_after = brier_matrix(probs, labels)
+        records.append(rec)
         history.append(HistoryEntry(err, brier_before, brier_after, step))
-        probs, brier_before = new_probs, brier_after
+        brier_before = brier_after
 
     return PatchSequence(records=tuple(records), C=C, history=tuple(history))
 

@@ -3,11 +3,13 @@
     PYTHONPATH=src python tests/golden/regen.py
 
 The input is a small deterministic dataset (n=200, C=6; the last 40 rows
-repeat earlier rows, so tie-merging is exercised) plus one utility JSON per
-family.  Every run in :data:`RUNS` is a ``utilcal`` command line; its output
-files go to ``tests/golden/expected/``, and ``tests/test_golden.py`` reruns
-the same commands and compares each file byte for byte.  Regenerate only for
-a deliberate output change, and say in the commit why the bytes moved.
+repeat earlier rows, so tie-merging is exercised) and one utility JSON per
+family, all drawn by :func:`write_inputs`, plus one committed patch
+sequence.  Every run in :data:`RUNS` is a ``utilcal`` command line; its
+output files go to ``tests/golden/expected/``, and ``tests/test_golden.py``
+reruns the same commands and compares each file byte for byte.  Regenerate
+only for a deliberate output change, and say in the commit why the bytes
+moved.
 """
 
 from __future__ import annotations
@@ -60,20 +62,21 @@ RUNS = {
          "--out", "{out}/ecdf-rank.csv"],
         ["ecdf-rank.csv", "ecdf-rank.csv.json"],
     ),
-    "patch-fit-theoretical": (
+    "patch-fit": (
         ["patch-fit", "--preds", _input("preds.csv"), "--labels", _input("labels.csv"),
-         "--epsilon", "0.02", "--max-iters", "30", "--out", "{out}/seq-theoretical.json"],
-        ["seq-theoretical.json", "seq-theoretical.json.history.csv"],
+         "--epsilon", "0.02", "--max-iters", "30", "--out", "{out}/seq.json"],
+        ["seq.json", "seq.json.history.csv"],
     ),
-    "patch-fit-armijo": (
+    "patch-fit-augment": (
         ["patch-fit", "--preds", _input("preds.csv"), "--labels", _input("labels.csv"),
-         "--epsilon", "0.02", "--max-iters", "15", "--step-rule", "armijo",
-         "--augment", "30", "--seed", "5", "--out", "{out}/seq-armijo.json"],
-        ["seq-armijo.json", "seq-armijo.json.history.csv"],
+         "--epsilon", "0.02", "--max-iters", "15",
+         "--augment", "30", "--seed", "5", "--out", "{out}/seq-augment.json"],
+        ["seq-augment.json", "seq-augment.json.history.csv"],
     ),
-    # reads the sequence written by patch-fit-theoretical
+    # a committed sequence whose steps are err/C, the step earlier versions
+    # of patch-fit took: sequence files fitted then still apply unchanged
     "patch-apply": (
-        ["patch-apply", "{out}/seq-theoretical.json", "--preds", _input("preds.csv"),
+        ["patch-apply", _input("seq-err-over-c.json"), "--preds", _input("preds.csv"),
          "--out", "{out}/patched.csv"],
         ["patched.csv"],
     ),

@@ -106,6 +106,14 @@ class TestValidateCmd:
         fixed = load_predictions_csv(out)
         assert abs(fixed.sum() - 1.0) <= 1e-12
 
+    def test_out_without_renormalize_exit_2(self, two_point_files, tmp_path, capsys):
+        out = tmp_path / "fixed.csv"
+        rc = main(["validate", "--preds", two_point_files["preds"],
+                   "--labels", two_point_files["labels"], "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
 
 class TestEvaluateCmd:
     def test_two_point_report(self, two_point_files, tmp_path):
@@ -288,6 +296,21 @@ class TestPatchCmds:
               "--out", str(out_csv)])
         assert out_csv.read_bytes() == (tmp_path / "p.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--epsilon", "nan"], ["--epsilon", "nan", "--max-iters", "3"],
+         ["--augment", "-4"]],
+        ids=["epsilon-nan", "epsilon-nan-capped", "augment-negative"],
+    )
+    def test_fit_bad_config_exit_2(self, tmp_path, two_point_files, capsys, args):
+        seq_path = tmp_path / "seq.json"
+        rc = main(["patch-fit", "--preds", two_point_files["preds"],
+                   "--labels", two_point_files["labels"],
+                   "--out", str(seq_path), *args])
+        assert rc == 2
+        assert not seq_path.exists()
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
     def test_apply_dimension_mismatch_exit_2(self, tmp_path, two_point_files):
         seq_path = tmp_path / "seq.json"
         seq_path.write_text(json.dumps({"C": 5, "records": [], "history": []}))
@@ -328,8 +351,16 @@ class TestOracleCheckCmd:
         assert rc == 0
         assert "all trials within" in capsys.readouterr().out
 
-    def test_zero_trials_vacuous_pass(self):
-        assert main(["oracle-check", "--trials", "0"]) == 0
+    @pytest.mark.parametrize(
+        "args",
+        [["--trials", "0"], ["--trials", "-1"], ["--n-max", "0"], ["--c-max", "1"]],
+        ids=["trials-0", "trials--1", "n-max-0", "c-max-1"],
+    )
+    def test_empty_or_impossible_run_exit_2(self, capsys, args):
+        assert main(["oracle-check", "--trials", "2", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_fault_injection_fails_with_seed(self, capsys):
         rc = main(["oracle-check", "--trials", "3", "--seed", "7",

@@ -25,7 +25,7 @@ from utilcal import (
     uc_hat,
 )
 from utilcal import ParseError, patching
-from utilcal.estimators import predicted_utility
+from utilcal.estimators import brier_matrix, payoff_matrix, predicted_utility
 from utilcal.patching import _apply_record_rows, project_simplex_rows
 from utilcal.utilities import derive_rng
 
@@ -223,26 +223,26 @@ class TestFit:
                                  epsilon=1e-6, max_iters=5))
         assert len(seq.records) == 5
 
-    def test_armijo_descent(self):
+    def test_quadratic_bound_descent(self):
         dist = random_dist(derive_rng(23), 3, 4)
         d, _ = gen_miscalibrated(dist, 1500, seed=2)
-        seq = fit(d, PatchConfig(epsilon=0.02, step_rule="armijo"))
+        seq = fit(d, PatchConfig(epsilon=0.02))
         briers = [h.brier_after for h in seq.history]
         assert all(a >= b for a, b in zip(briers, briers[1:]))
         out = transform(d, seq)
         assert max(uc_hat(out, s).value for s in comb_pool(4)) <= 0.02
 
     @pytest.mark.parametrize("augment", [0, 8, 30])
-    def test_armijo_steps_meet_both_decrease_bounds(self, augment):
+    def test_steps_meet_both_decrease_bounds(self, augment):
         # the quadratic-bound step lowers Brier by at least eta * err, and
-        # since D <= C by at least err^2/C, the theoretical rule's guarantee
+        # since D <= C by at least err^2/C
         rng = derive_rng(41, augment)
         C = 3 + augment // 5
         probs = rng.dirichlet(np.full(C, 0.5), size=1500)
         sharp = probs**3 / np.sum(probs**3, axis=1, keepdims=True)
         labels = (rng.random((1500, 1)) > np.cumsum(sharp, axis=1)).sum(axis=1)
         d = LabeledPredictions(probs, np.minimum(labels, C - 1))
-        seq = fit(d, PatchConfig(epsilon=0.01, max_iters=60, step_rule="armijo",
+        seq = fit(d, PatchConfig(epsilon=0.01, max_iters=60,
                                  augment_count=augment, augment_seed=augment))
         assert len(seq.history) >= 10
         for h in seq.history:
@@ -250,11 +250,12 @@ class TestFit:
             assert drop >= h.step * h.err - 1e-12
             assert drop >= h.err**2 / C - 1e-12
 
-    def test_armijo_step_evaluates_the_witness_once(self, monkeypatch):
+    def test_step_size_evaluates_the_witness_once(self, monkeypatch):
         # the step is its closed form: one predicted-utility pass for the
         # mask and payoff, and no Brier pass (fit computes the one it needs)
         d = gen_two_point(20)
-        witness, err = find_worst_witness(d, [UtilitySpec.top_class()])
+        spec = UtilitySpec.top_class()
+        witness, err = find_worst_witness(d, [spec])
         evaluated = []
 
         def counting(*args):
@@ -263,11 +264,19 @@ class TestFit:
 
         monkeypatch.setattr(patching, "predicted_utility", counting)
         monkeypatch.setattr(patching, "brier_matrix", None)  # a call raises
-        step, out = patching._choose_armijo_step(d.probs, witness, err)
+        step = patching._step_size(d.probs, witness, err)
         monkeypatch.undo()
         assert len(evaluated) == 1
+        v = predicted_utility(spec, d.probs)
+        uvec = payoff_matrix(spec, d.probs[(v >= witness.lo) & (v <= witness.hi)])
+        assert step == min(err / np.mean(np.sum(uvec**2, axis=1)), 2.0)
+        # fit records that step and moves the rows by _apply_record_rows
         rec = PatchRecord(witness.spec, witness.lo, witness.hi, witness.sign, step)
-        assert np.array_equal(out, _apply_record_rows(d.probs, rec))
+        seq = fit(d, PatchConfig(pool=[spec], epsilon=0.01, max_iters=1))
+        assert seq.records == (rec,)
+        assert seq.history[0].brier_after == brier_matrix(
+            _apply_record_rows(d.probs, rec), d.labels
+        )
 
     def test_augmented_pool_is_deterministic(self):
         d = gen_two_point(40)
@@ -284,9 +293,18 @@ class TestFit:
         with pytest.raises(ConfigError):
             fit(perfect_predictor(), PatchConfig(epsilon=0.0))
 
-    def test_bad_step_rule(self):
+    @pytest.mark.parametrize(
+        "config",
+        [
+            PatchConfig(epsilon=float("nan")),
+            PatchConfig(epsilon=float("nan"), max_iters=3),
+            PatchConfig(augment_count=-4),
+        ],
+        ids=["epsilon-nan", "epsilon-nan-capped", "augment-negative"],
+    )
+    def test_bad_config_rejected(self, config):
         with pytest.raises(ConfigError):
-            fit(perfect_predictor(), PatchConfig(step_rule="fixed"))
+            fit(perfect_predictor(), config)
 
 
 class TestTransform:
