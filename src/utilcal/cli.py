@@ -185,10 +185,9 @@ def cmd_oracle_check(args) -> int:
     return 0
 
 
-def _add_io_flags(p: argparse.ArgumentParser, labels: bool = True) -> None:
+def _add_io_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preds", required=True, help="predictions CSV, n rows x C floats")
-    if labels:
-        p.add_argument("--labels", required=True, help="labels CSV, one integer per line")
+    p.add_argument("--labels", required=True, help="labels CSV, one integer per line")
     p.add_argument("--header", action="store_true", help="skip one CSV header line")
     p.add_argument("--renormalize", action="store_true",
                    help="clamp entries to [0,1] and rescale rows to sum 1")
@@ -241,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preds", required=True)
     p.add_argument("--header", action="store_true")
     p.add_argument("--out", required=True, help="patched predictions CSV")
-    p.set_defaults(func=cmd_patch_apply, renormalize=False)
+    p.set_defaults(func=cmd_patch_apply)
 
     p = sub.add_parser("synth", help="write synthetic dataset files")
     p.add_argument("kind", choices=["two-point", "calibrated", "miscalibrated"])

@@ -205,6 +205,25 @@ class ValidationReport:
         }
 
 
+def simplex_extremes(probs: np.ndarray) -> tuple[float, float]:
+    """Largest deviation of a row sum from 1 and smallest entry of an n x C
+    matrix; 0 and inf when it has no rows."""
+    deviation = np.abs(probs.sum(axis=1) - 1.0)
+    return float(deviation.max(initial=0.0)), float(probs.min(initial=np.inf))
+
+
+def check_simplex(max_dev: float, min_entry: float) -> None:
+    """Raise :class:`ValidationError` when the :func:`simplex_extremes` of a
+    matrix pass a fatal threshold: a row sum off by more than 1e-3 or an
+    entry below -1e-6."""
+    if max_dev > FATAL_ROW_SUM:
+        raise ValidationError(
+            f"row sum deviates from 1 by {max_dev:.3g} (> {FATAL_ROW_SUM:g})"
+        )
+    if min_entry < FATAL_ENTRY:
+        raise ValidationError(f"entry {min_entry:.3g} below {FATAL_ENTRY:g}")
+
+
 def validate(
     preds: LabeledPredictions, renormalize: bool = False
 ) -> ValidationReport:
@@ -218,19 +237,9 @@ def validate(
     divided by its sum; the corrected data is attached to the report.
     """
     probs, labels = preds.probs, preds.labels
-    row_sums = probs.sum(axis=1)
-    max_dev = float(np.max(np.abs(row_sums - 1.0)))
-    min_entry = float(probs.min())
-
+    max_dev, min_entry = simplex_extremes(probs)
     if not renormalize:
-        if max_dev > FATAL_ROW_SUM:
-            raise ValidationError(
-                f"row sum deviates from 1 by {max_dev:.3g} (> {FATAL_ROW_SUM:g})"
-            )
-        if min_entry < FATAL_ENTRY:
-            raise ValidationError(
-                f"entry {min_entry:.3g} below {FATAL_ENTRY:g}"
-            )
+        check_simplex(max_dev, min_entry)
 
     corrected = None
     if renormalize:

@@ -176,36 +176,6 @@ class UcEstimate:
     sign: int
 
 
-def _interval_spread(
-    v_sorted_blocks: np.ndarray, block_sums: np.ndarray
-) -> tuple[float, tuple[float, float], int]:
-    """Spread of residual prefix sums over tie-merged blocks.
-
-    Returns (spread, (lo, hi), sign) where [lo, hi] is the witness interval
-    in v-space and sign the orientation.  Prefix extrema ties resolve to the
-    earliest index; when every prefix is zero the supremum 0 is witnessed by
-    a degenerate interval at the first block.
-    """
-    prefix = np.concatenate(([0.0], np.cumsum(block_sums)))
-    b_max = int(np.argmax(prefix))
-    b_min = int(np.argmin(prefix))
-    spread = float(prefix[b_max] - prefix[b_min])
-    if b_max == b_min:
-        v0 = float(v_sorted_blocks[0])
-        return 0.0, (v0, v0), 1
-    if b_min < b_max:
-        return (
-            spread,
-            (float(v_sorted_blocks[b_min]), float(v_sorted_blocks[b_max - 1])),
-            1,
-        )
-    return (
-        spread,
-        (float(v_sorted_blocks[b_max]), float(v_sorted_blocks[b_min - 1])),
-        -1,
-    )
-
-
 def _merge_ties(v: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort by v and merge exactly-equal v values into blocks of summed
     residuals.  A closed interval cannot separate equal v values, so blocks
@@ -246,33 +216,46 @@ def _merge_ties(v: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return block_v, np.add.reduceat(r[order], starts)
 
 
-def _estimate(
-    preds: LabeledPredictions, spec: UtilitySpec, ranks: np.ndarray | None
-) -> UcEstimate:
-    v = predicted_utility(spec, preds.probs)
-    r = realized_utility(spec, preds.probs, preds.labels, ranks) - v
-    block_v, block_sum = _merge_ties(v, r)
-    spread, interval, sign = _interval_spread(block_v, block_sum)
-    return UcEstimate(value=spread / preds.n, interval=interval, sign=sign)
+def _worst_interval(
+    v: np.ndarray, r: np.ndarray
+) -> tuple[float, tuple[float, float], int]:
+    """Worst interval of per-row contributions ``r`` over values ``v``.
+
+    Returns (spread, (lo, hi), sign): the spread of the prefix sums of the
+    tie-merged blocks, the witness interval in v-space and its orientation.
+    Prefix extrema ties resolve to the earliest index; when every prefix is
+    zero the supremum 0 is witnessed by a degenerate interval at the first
+    block.
+    """
+    block_v, block_sums = _merge_ties(v, r)
+    prefix = np.concatenate(([0.0], np.cumsum(block_sums)))
+    b_max = int(np.argmax(prefix))
+    b_min = int(np.argmin(prefix))
+    spread = float(prefix[b_max] - prefix[b_min])
+    if b_max == b_min:
+        v0 = float(block_v[0])
+        return 0.0, (v0, v0), 1
+    if b_min < b_max:
+        return spread, (float(block_v[b_min]), float(block_v[b_max - 1])), 1
+    return spread, (float(block_v[b_max]), float(block_v[b_min - 1])), -1
 
 
 def uc_hat(preds: LabeledPredictions, spec: UtilitySpec) -> UcEstimate:
-    """Exact empirical worst-interval utility calibration error."""
-    # Deliberately not a pool of one: with the pool's per-call bookkeeping the
-    # two-thread ecdf sweep (n=50 000, C=10) peaked ~4 MB higher in most runs.
-    return _estimate(preds, spec, None)
+    """Exact empirical worst-interval utility calibration error: the
+    :func:`uc_hat_pool` of the one utility."""
+    return uc_hat_pool(preds, [spec])[0]
 
 
 def uc_hat_pool(
     preds: LabeledPredictions, specs: Iterable[UtilitySpec]
 ) -> list[UcEstimate]:
-    """:func:`uc_hat` of every utility in ``specs``, in order.
+    """Worst-interval error of every utility in ``specs``, in order.
 
     Each distinct utility (by :meth:`UtilitySpec.key`) is evaluated once and
     its repeats share the estimate.  The true-class label ranks, which the
     realized utility of every top_k, rank and dcg member reads, are computed
-    once per call.  Every estimate is bit-identical to a separate
-    :func:`uc_hat` call.
+    once per call.  An estimate does not depend on the rest of the pool, so
+    it is bit-identical to :func:`uc_hat` of its utility alone.
     """
     ranks = None
     by_key: dict[tuple, UcEstimate] = {}
@@ -282,7 +265,10 @@ def uc_hat_pool(
         if key not in by_key:
             if ranks is None and _FORMS[spec.family][0] == "rank":
                 ranks = _label_ranks(preds.probs, preds.labels)
-            by_key[key] = _estimate(preds, spec, ranks)
+            v = predicted_utility(spec, preds.probs)
+            r = realized_utility(spec, preds.probs, preds.labels, ranks) - v
+            spread, interval, sign = _worst_interval(v, r)
+            by_key[key] = UcEstimate(spread / preds.n, interval, sign)
         out.append(by_key[key])
     return out
 
@@ -426,9 +412,7 @@ def population_uc(dist: FiniteDistribution, spec: UtilitySpec) -> float:
     v = predicted_utility(spec, dist.support)
     uvec = payoff_matrix(spec, dist.support)
     rho = np.einsum("ij,ij->i", dist.cond_label - dist.support, uvec) * dist.weights
-    block_v, block_sum = _merge_ties(v, rho)
-    spread, _, _ = _interval_spread(block_v, block_sum)
-    return spread
+    return _worst_interval(v, rho)[0]
 
 
 @dataclass(frozen=True)

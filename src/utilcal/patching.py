@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import LabeledPredictions, read_json
+from .dataset import LabeledPredictions, check_simplex, read_json, simplex_extremes
 from .errors import ConfigError, DomainError, ParseError
 from .estimators import brier_matrix, payoff_matrix, predicted_utility, uc_hat_pool
 from .utilities import SAMPLERS, UtilitySpec, as_int, comb_pool, derive_rng, sample_utility
@@ -68,8 +68,8 @@ class PatchRecord:
     step: float
 
     def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise DomainError("witness interval has lo > hi")
+        if not self.lo <= self.hi:  # NaN fails too
+            raise DomainError(f"witness interval [{self.lo}, {self.hi}] needs lo <= hi")
         if self.sign not in (-1, 1):
             raise DomainError(f"sign must be -1 or +1, got {self.sign}")
         if not 0.0 < self.step <= 2.0:
@@ -212,11 +212,13 @@ def _masked_payoff(
     return mask, payoff_matrix(rec.spec, probs[mask])
 
 
-def _apply_record_rows(probs: np.ndarray, rec: PatchRecord) -> np.ndarray:
-    """One masked corrective step on every row: the masked rows move along
-    -sign * uvec and are projected back onto the simplex; the other rows
-    pass through untouched."""
-    mask, uvec = _masked_payoff(probs, rec)
+def _apply_record_rows(
+    probs: np.ndarray, rec: PatchRecord, mask: np.ndarray, uvec: np.ndarray
+) -> np.ndarray:
+    """One masked corrective step on every row: the rows of ``mask`` move
+    along -sign * uvec, their payoff vectors from :func:`_masked_payoff`, and
+    are projected back onto the simplex; the other rows pass through
+    untouched."""
     if not len(uvec):
         return probs
     # project first, so its temporaries are freed before the n x C copy
@@ -226,24 +228,18 @@ def _apply_record_rows(probs: np.ndarray, rec: PatchRecord) -> np.ndarray:
     return out
 
 
-def _step_size(probs: np.ndarray, witness: Witness, err: float) -> float:
-    """The quadratic-bound step min(err/D, 2).
-
-    D > 0 here: a step is taken only when err > epsilon > 0, the witness
-    interval's ends are observed v values so some row is masked, and a
-    masked payoff entry reaches err/2 in size.  The cap 2 is the step range
-    of :class:`PatchRecord`.
-    """
-    _, uvec = _masked_payoff(probs, witness)
-    return min(err / float(np.mean(np.sum(uvec * uvec, axis=1))), 2.0)
-
-
 def fit(cal: LabeledPredictions, config: PatchConfig) -> PatchSequence:
     """Run the patching loop on a calibration set.
 
     Stops once the worst pool error is at most epsilon or the iteration cap
-    is hit.  Each applied iteration takes the step of :func:`_step_size` and
-    decreases the Brier score by at least step * err and at least err^2/C.
+    is hit.  Each applied iteration takes the quadratic-bound step
+    min(err/D, 2), with D the mean squared payoff norm over the witness's
+    masked rows, and decreases the Brier score by at least step * err and at
+    least err^2/C.  D > 0: a step is taken only when err > epsilon > 0, the
+    witness interval's ends are observed v values so some row is masked, and
+    a masked payoff entry reaches err/2 in size.  The cap 2 is the step range
+    of :class:`PatchRecord`.  One mask and payoff pass serves both the step
+    and the move.
     Raises :class:`ConfigError` when epsilon is not positive (NaN included),
     augment_count is negative or the iteration cap is below 1.
     """
@@ -279,9 +275,10 @@ def fit(cal: LabeledPredictions, config: PatchConfig) -> PatchSequence:
         witness, err = find_worst_witness(preds_t, pool_t)
         if err <= config.epsilon:
             break
-        step = _step_size(probs, witness, err)
+        mask, uvec = _masked_payoff(probs, witness)
+        step = min(err / float(np.mean(np.sum(uvec * uvec, axis=1))), 2.0)
         rec = PatchRecord(witness.spec, witness.lo, witness.hi, witness.sign, step)
-        probs = _apply_record_rows(probs, rec)
+        probs = _apply_record_rows(probs, rec, mask, uvec)
         brier_after = brier_matrix(probs, labels)
         records.append(rec)
         history.append(HistoryEntry(err, brier_before, brier_after, step))
@@ -296,7 +293,8 @@ def transform(data, seq: PatchSequence):
     Accepts a LabeledPredictions (returns the same type) or a bare
     probability matrix (returns a matrix).  Rows stay on the simplex because
     every step re-projects.  Raises :class:`DomainError` when an entry is
-    NaN or infinite.
+    NaN or infinite, and :class:`ValidationError` when a row fails
+    :func:`utilcal.dataset.validate`'s fatal thresholds.
     """
     if isinstance(data, LabeledPredictions):
         out = transform(data.probs, seq)
@@ -306,8 +304,10 @@ def transform(data, seq: PatchSequence):
         raise DomainError(
             f"expected an n x {seq.C} matrix, got shape {probs.shape}"
         )
-    if not np.all(np.isfinite(probs.sum(axis=1))):
+    max_dev, min_entry = simplex_extremes(probs)
+    if not np.isfinite(max_dev):
         raise DomainError("predictions hold NaN or infinite entries")
+    check_simplex(max_dev, min_entry)
     for rec in seq.records:
-        probs = _apply_record_rows(probs, rec)
+        probs = _apply_record_rows(probs, rec, *_masked_payoff(probs, rec))
     return probs

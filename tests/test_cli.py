@@ -320,6 +320,36 @@ class TestPatchCmds:
         assert rc == 2
 
 
+    def test_apply_off_simplex_row_exit_2(self, tmp_path, capsys):
+        # evaluate rejects these rows; patch-apply must not project them
+        write_predictions_csv(tmp_path / "p.csv",
+                              np.array([[0.2, 0.3, 0.5], [3.0, -2.0, 0.5]]))
+        seq_path = tmp_path / "seq.json"
+        seq_path.write_text(json.dumps({"C": 3, "records": [
+            {"spec": {"family": "top_class"}, "lo": 0.0, "hi": 1.0,
+             "sign": 1, "step": 0.1}]}))
+        rc = main(["patch-apply", str(seq_path), "--preds", str(tmp_path / "p.csv"),
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert not (tmp_path / "o.csv").exists()
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("bound", ["lo", "hi"])
+    def test_apply_nan_interval_bound_exit_2(self, tmp_path, two_point_files,
+                                             capsys, bound):
+        record = {"spec": {"family": "top_class"}, "lo": 0.2, "hi": 0.9,
+                  "sign": 1, "step": 0.1}
+        record[bound] = float("nan")
+        seq_path = tmp_path / "seq.json"
+        seq_path.write_text(json.dumps({"C": 3, "records": [record]}))
+        assert "NaN" in seq_path.read_text()
+        rc = main(["patch-apply", str(seq_path),
+                   "--preds", two_point_files["preds"],
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert not (tmp_path / "o.csv").exists()
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize(
         "sequence",
         [

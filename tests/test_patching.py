@@ -14,6 +14,7 @@ from utilcal import (
     PatchRecord,
     PatchSequence,
     UtilitySpec,
+    ValidationError,
     brier,
     comb_pool,
     find_worst_witness,
@@ -26,7 +27,7 @@ from utilcal import (
 )
 from utilcal import ParseError, patching
 from utilcal.estimators import brier_matrix, payoff_matrix, predicted_utility
-from utilcal.patching import _apply_record_rows, project_simplex_rows
+from utilcal.patching import _apply_record_rows, _masked_payoff, project_simplex_rows
 from utilcal.utilities import derive_rng
 
 
@@ -47,7 +48,8 @@ def project_simplex(x):
 
 def apply_patch(p, rec):
     """One patch step on one prediction vector, as a one-row matrix."""
-    return _apply_record_rows(np.asarray(p, dtype=np.float64)[None, :], rec)[0]
+    probs = np.asarray(p, dtype=np.float64)[None, :]
+    return _apply_record_rows(probs, rec, *_masked_payoff(probs, rec))[0]
 
 
 def perfect_predictor(n=24, C=3):
@@ -173,6 +175,14 @@ class TestApplyPatch:
         with pytest.raises(DomainError):
             PatchRecord(UtilitySpec.top_class(), 0.1, 0.9, 2, 0.1)
 
+    @pytest.mark.parametrize(
+        "lo, hi", [(math.nan, 0.9), (0.1, math.nan), (math.nan, math.nan)]
+    )
+    def test_nan_interval_bound_rejected(self, lo, hi):
+        # a NaN bound would mask no row, so the record would do nothing
+        with pytest.raises(DomainError, match="lo <= hi"):
+            PatchRecord(UtilitySpec.top_class(), lo, hi, 1, 0.1)
+
 
 class TestFit:
     def test_already_calibrated_stops_immediately(self):
@@ -251,31 +261,36 @@ class TestFit:
             assert drop >= h.err**2 / C - 1e-12
 
     def test_step_size_evaluates_the_witness_once(self, monkeypatch):
-        # the step is its closed form: one predicted-utility pass for the
-        # mask and payoff, and no Brier pass (fit computes the one it needs)
+        # the step size and the move share one mask and payoff pass: one
+        # predicted-utility call on the witness outside uc_hat_pool, and no
+        # Brier pass beyond the before and after scores of the history
         d = gen_two_point(20)
         spec = UtilitySpec.top_class()
         witness, err = find_worst_witness(d, [spec])
-        evaluated = []
+        evaluated, scored = [], []
 
-        def counting(*args):
-            evaluated.append(1)
-            return predicted_utility(*args)
+        def counting(spec, probs):
+            evaluated.append(spec)
+            return predicted_utility(spec, probs)
+
+        def counting_brier(probs, labels):
+            scored.append(1)
+            return brier_matrix(probs, labels)
 
         monkeypatch.setattr(patching, "predicted_utility", counting)
-        monkeypatch.setattr(patching, "brier_matrix", None)  # a call raises
-        step = patching._step_size(d.probs, witness, err)
+        monkeypatch.setattr(patching, "brier_matrix", counting_brier)
+        seq = fit(d, PatchConfig(pool=[spec], epsilon=0.01, max_iters=1))
         monkeypatch.undo()
-        assert len(evaluated) == 1
+        assert evaluated == [witness.spec]
+        assert len(scored) == 2
         v = predicted_utility(spec, d.probs)
         uvec = payoff_matrix(spec, d.probs[(v >= witness.lo) & (v <= witness.hi)])
-        assert step == min(err / np.mean(np.sum(uvec**2, axis=1)), 2.0)
-        # fit records that step and moves the rows by _apply_record_rows
+        step = min(err / np.mean(np.sum(uvec**2, axis=1)), 2.0)
         rec = PatchRecord(witness.spec, witness.lo, witness.hi, witness.sign, step)
-        seq = fit(d, PatchConfig(pool=[spec], epsilon=0.01, max_iters=1))
         assert seq.records == (rec,)
+        # transform replays the record to the rows fit moved
         assert seq.history[0].brier_after == brier_matrix(
-            _apply_record_rows(d.probs, rec), d.labels
+            transform(d.probs, seq), d.labels
         )
 
     def test_augmented_pool_is_deterministic(self):
@@ -342,6 +357,25 @@ class TestTransform:
         probs[1, 2] = bad
         with pytest.raises(DomainError, match="infinite"):
             transform(probs, PatchSequence((), 3))
+
+    @pytest.mark.parametrize(
+        "row, match",
+        [([3.0, -2.0, 0.5], "row sum"), ([0.6, 0.6, 0.0], "row sum"),
+         ([1.1, -0.1, 0.0], "entry")],
+        ids=["far-off", "sum-1.2", "negative-entry"],
+    )
+    def test_row_off_the_simplex_rejected(self, row, match):
+        # the fatal thresholds of validate: a row sum off by more than 1e-3,
+        # an entry below -1e-6
+        probs = np.full((3, 3), 1.0 / 3.0)
+        probs[1] = row
+        with pytest.raises(ValidationError, match=match):
+            transform(probs, PatchSequence((), 3))
+
+    def test_rows_within_the_thresholds_and_no_rows_pass(self):
+        probs = np.array([[0.5, 0.5, 0.0009], [1.0 + 5e-7, 0.0, -5e-7]])
+        assert np.array_equal(transform(probs, PatchSequence((), 3)), probs)
+        assert transform(np.empty((0, 3)), PatchSequence((), 3)).shape == (0, 3)
 
     def test_generalization_to_held_out_split(self):
         # patch maps fitted on one half should reduce pool error on the other
