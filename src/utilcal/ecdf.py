@@ -17,7 +17,8 @@ import numpy as np
 
 from .dataset import LabeledPredictions
 from .errors import DomainError
-from .estimators import uc_hat
+# uc_hat stays importable here: perfbench's tracer wraps it at this module.
+from .estimators import uc_hat, uc_hat_pool  # noqa: F401
 from .utilities import SAMPLERS, UtilitySpec, derive_rng, sample_utility
 
 
@@ -75,16 +76,21 @@ def ecdf_evaluate(
         raise DomainError(f"threads must be >= 1, got {threads}")
     C = preds.C
 
-    def one(m: int) -> tuple[float, UtilitySpec]:
-        spec = sample_utility(family, C, derive_rng(seed, m))
-        return uc_hat(preds, spec).value, spec
+    def share(ms: range) -> list[tuple[float, UtilitySpec]]:
+        specs = [sample_utility(family, C, derive_rng(seed, m)) for m in ms]
+        estimates = uc_hat_pool(preds, specs)
+        return [(est.value, spec) for est, spec in zip(estimates, specs)]
 
+    # Each worker evaluates a contiguous share of the utilities in one pool,
+    # so the sample's distinct rows are found once per share.
     workers = min(threads, M, os.cpu_count() or 1)
+    bounds = [M * w // workers for w in range(workers + 1)]
+    shares = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(M)))
+            results = [r for part in pool.map(share, shares) for r in part]
     else:
-        results = [one(m) for m in range(M)]
+        results = share(shares[0])
 
     errors = np.array([val for val, _ in results])
     band = dkw_band(M, delta) if delta is not None else None

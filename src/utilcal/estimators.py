@@ -6,7 +6,8 @@ intervals of predicted utility, of the absolute mean gap between realized and
 predicted utility.  After sorting by predicted utility and merging ties,
 closed intervals correspond to contiguous blocks, so the supremum is the
 spread of the residual prefix sums; that makes the estimator O(n log n) plus
-the per-row utility evaluations.
+the per-row utility evaluations.  A sample with repeated rows is evaluated
+once per distinct row (:func:`distinct_rows`), as a finite-support law.
 """
 
 from __future__ import annotations
@@ -97,29 +98,36 @@ def realized_utility(
     probs: np.ndarray,
     labels: np.ndarray,
     ranks: np.ndarray | None = None,
+    row_of: np.ndarray | None = None,
 ) -> np.ndarray:
     """Realized payoff u(p_i, e_{label_i}) for every row.
 
-    ``ranks`` may pass in ``_label_ranks(probs, labels)``, which the "rank"
-    form reads, so a pool of such utilities computes it once.
+    ``row_of``, when given, pairs label i with row ``row_of[i]`` of
+    ``probs`` instead of row i, so a row's argmax or payoff vector is
+    computed once however many labels it is paired with.  ``ranks`` may
+    pass in the label ranks of those pairs (``_label_ranks(probs, labels)``
+    without ``row_of``), which the "rank" form reads, so a pool of such
+    utilities computes them once.
     """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    n, C = probs.shape
-    form, param = _payoff_form(spec, C)
+    form, param = _payoff_form(spec, probs.shape[1])
+    at = slice(None) if row_of is None else row_of
     if form == "column":
         if param is None:
-            return (labels == probs.argmax(axis=1)).astype(np.float64)
+            return (labels == probs.argmax(axis=1)[at]).astype(np.float64)
         if param.shape[1] == 1:  # 1-D indexing: a mixed index is twice as slow
             return param[:, 0][labels]
-        return param[labels, (probs @ param).argmax(axis=1)]
+        return param[labels, (probs @ param).argmax(axis=1)[at]]
     if form == "unit":
         return (labels == param).astype(np.float64)
     if form == "rank":
         if ranks is None:
-            ranks = _label_ranks(probs, labels)
+            ranks = _label_ranks(probs[at], labels)
         return param[ranks - 1]
-    return (probs @ param)[np.arange(n), labels]
+    if row_of is None:
+        row_of = np.arange(len(labels))
+    return (probs @ param)[row_of, labels]
 
 
 def payoff_matrix(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
@@ -149,13 +157,85 @@ def payoff_matrix(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
     return probs @ param
 
 
+# --- distinct rows ------------------------------------------------------------
+
+# Rows per block in the exact check of equal hashes: its gathers stay near
+# 512 kB whatever n is.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _row_hashes(bits: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each row's bit patterns: sum_j bits_ij * m_j mod 2^64
+    with odd m_j, so rows that differ in one entry never collide.  Integer
+    sums wrap exactly in any order, so equal rows hash alike wherever they
+    sit."""
+    C = bits.shape[1]
+    mult = np.arange(1, 2 * C, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return np.einsum("ij,j->i", bits, mult)
+
+
+def distinct_rows(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The distinct rows of ``probs`` and the index of each row among them.
+
+    Rows are equal when their bit patterns are, so rows that differ only
+    in the sign of a zero stay apart.  Returns ``(probs, None)``, without a
+    copy, when every row is distinct; the cheap exact test is that one
+    column's values are all distinct.  Otherwise returns ``(D, inverse)``
+    with ``probs[i]`` bit-identical to ``D[inverse[i]]``.  D's order
+    depends only on the set of rows, never on their order in ``probs``:
+    rows are ordered by a hash of their bits, equal hashes are confirmed
+    by exact comparison, and on a collision between different rows the
+    order is that of ``np.unique`` over the bit patterns.
+    """
+    probs = np.ascontiguousarray(probs, dtype=np.float64)
+    n, C = probs.shape
+    col = np.sort(probs[:, 0])
+    if (col[1:] != col[:-1]).all():
+        return probs, None
+    del col
+    bits = probs.view(np.uint64)
+    h = _row_hashes(bits)
+    hs = np.sort(h)
+    fresh = hs[1:] != hs[:-1]
+    del hs
+    if fresh.all():
+        return probs, None
+    order = np.argsort(h)
+    del h
+    group = np.cumsum(np.concatenate(([False], fresh)))  # per sorted position
+    first = order[np.flatnonzero(np.concatenate(([True], fresh)))]
+    del fresh
+    block = max(1, _BLOCK_ELEMENTS // C)
+    for lo in range(0, n, block):  # each row against its hash group's first
+        rows = order[lo : lo + block]
+        reps = first[group[lo : lo + block]]
+        dup = rows != reps
+        if not (bits[rows[dup]] == bits[reps[dup]]).all():
+            uniq, inverse = np.unique(bits, axis=0, return_inverse=True)
+            if len(uniq) == n:
+                return probs, None
+            return uniq.view(np.float64), inverse.reshape(-1)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = group
+    return probs[first], inverse
+
+
 def residuals(
     preds: LabeledPredictions, spec: UtilitySpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row (v_i, r_i): predicted utility and the gap
-    r_i = u(p_i, e_{label_i}) - v_i."""
-    v = predicted_utility(spec, preds.probs)
-    return v, realized_utility(spec, preds.probs, preds.labels) - v
+    r_i = u(p_i, e_{label_i}) - v_i.
+
+    v and the payoff vector are computed once per distinct row
+    (:func:`distinct_rows`), so equal rows get equal v: a matrix product
+    can give a row different last bits depending on its position.
+    """
+    points, inverse = distinct_rows(preds.probs)
+    v = predicted_utility(spec, points)
+    u = realized_utility(spec, points, preds.labels, row_of=inverse)
+    if inverse is not None:
+        v = v[inverse]
+    return v, u - v
 
 
 # --- the worst-interval estimator ------------------------------------------
@@ -251,12 +331,33 @@ def uc_hat_pool(
 ) -> list[UcEstimate]:
     """Worst-interval error of every utility in ``specs``, in order.
 
+    A sample with repeated rows is evaluated as its finite-support law: the
+    distinct rows (:func:`distinct_rows`) are found once per call, each
+    utility's v and payoff are computed once per distinct row s, and
+    :func:`_worst_interval` gets one contribution per distinct row,
+    rho_s = sum_y N[s, y] (uvec_s[y] - v_s) = sum_y N[s, y] uvec_s[y] -
+    count_s v_s, with N[s, y] the number of rows equal to s labelled y, as
+    :func:`population_uc` feeds it.  Each (s, y) residual is rounded as the
+    per-row path rounds it, so the value is within rounding (about 1e-16)
+    of the per-row sum, and bit-identical under row permutations.  When
+    every row is distinct each row is its own contribution u_i - v_i.
+
     Each distinct utility (by :meth:`UtilitySpec.key`) is evaluated once and
     its repeats share the estimate.  The true-class label ranks, which the
     realized utility of every top_k, rank and dcg member reads, are computed
     once per call.  An estimate does not depend on the rest of the pool, so
     it is bit-identical to :func:`uc_hat` of its utility alone.
     """
+    probs, inverse = distinct_rows(preds.probs)
+    labels, row_of = preds.labels, None
+    if inverse is not None:  # one (row, label) pair per distinct combination
+        C = preds.C
+        inverse *= C  # in place, so the key row * C + label needs no copy
+        inverse += labels
+        pairs, pair_count = np.unique(inverse, return_counts=True)
+        del inverse
+        row_of, labels = np.divmod(pairs, C)
+        pair_count = pair_count.astype(np.float64)
     ranks = None
     by_key: dict[tuple, UcEstimate] = {}
     out = []
@@ -264,9 +365,15 @@ def uc_hat_pool(
         key = spec.key()
         if key not in by_key:
             if ranks is None and _FORMS[spec.family][0] == "rank":
-                ranks = _label_ranks(preds.probs, preds.labels)
-            v = predicted_utility(spec, preds.probs)
-            r = realized_utility(spec, preds.probs, preds.labels, ranks) - v
+                pair_probs = probs if row_of is None else probs[row_of]
+                ranks = _label_ranks(pair_probs, labels)
+            v = predicted_utility(spec, probs)
+            r = realized_utility(spec, probs, labels, ranks, row_of)
+            if row_of is None:
+                r -= v
+            else:
+                r -= v[row_of]
+                r = np.bincount(row_of, weights=pair_count * r, minlength=len(probs))
             spread, interval, sign = _worst_interval(v, r)
             by_key[key] = UcEstimate(spread / preds.n, interval, sign)
         out.append(by_key[key])

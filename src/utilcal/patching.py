@@ -30,7 +30,13 @@ import numpy as np
 
 from .dataset import LabeledPredictions, check_simplex, read_json, simplex_extremes
 from .errors import ConfigError, DomainError, ParseError
-from .estimators import brier_matrix, payoff_matrix, predicted_utility, uc_hat_pool
+from .estimators import (
+    brier_matrix,
+    distinct_rows,
+    payoff_matrix,
+    predicted_utility,
+    uc_hat_pool,
+)
 from .utilities import SAMPLERS, UtilitySpec, as_int, comb_pool, derive_rng, sample_utility
 
 
@@ -100,17 +106,47 @@ class PatchRecord:
 
 @dataclass(frozen=True)
 class HistoryEntry:
+    """One fitted step: the witnessed error, Brier before and after, and the
+    step size.  Raises :class:`DomainError` unless err is finite and
+    positive and both Brier values lie in [0, 2] with no increase, as every
+    step :func:`fit` takes has them."""
+
     err: float
     brier_before: float
     brier_after: float
     step: float
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.err < math.inf:  # NaN fails too
+            raise DomainError(f"history err must be finite and positive: {self.err}")
+        if not 0.0 <= self.brier_after <= self.brier_before <= 2.0:
+            raise DomainError(
+                "history Brier values need 0 <= after <= before <= 2, got "
+                f"before {self.brier_before}, after {self.brier_after}"
+            )
+
 
 @dataclass(frozen=True)
 class PatchSequence:
+    """Fitted patch records and, optionally, the history of the fit that
+    wrote them: empty, or one entry per record with the record's step
+    (:class:`DomainError` otherwise)."""
+
     records: tuple[PatchRecord, ...]
     C: int
     history: tuple[HistoryEntry, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.history and len(self.history) != len(self.records):
+            raise DomainError(
+                f"history has {len(self.history)} entries for "
+                f"{len(self.records)} records"
+            )
+        for i, (h, rec) in enumerate(zip(self.history, self.records)):
+            if h.step != rec.step:
+                raise DomainError(
+                    f"history entry {i} has step {h.step}, its record {rec.step}"
+                )
 
     def to_json_dict(self) -> dict:
         return {
@@ -206,10 +242,20 @@ def _masked_payoff(
     probs: np.ndarray, rec: Witness | PatchRecord
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mask of the rows whose predicted utility lies in [lo, hi], and the
-    payoff vectors of those rows."""
-    v = predicted_utility(rec.spec, probs)
-    mask = (v >= rec.lo) & (v <= rec.hi)
-    return mask, payoff_matrix(rec.spec, probs[mask])
+    payoff vectors of those rows.
+
+    Both are computed once per distinct row (:func:`distinct_rows`), with
+    the v values :func:`uc_hat_pool` computes, so equal rows get the same
+    mask and the same move and stay equal.
+    """
+    rows, inverse = distinct_rows(probs)
+    v = predicted_utility(rec.spec, rows)
+    hit = (v >= rec.lo) & (v <= rec.hi)
+    uvec = payoff_matrix(rec.spec, rows[hit])
+    if inverse is None:
+        return hit, uvec
+    mask = hit[inverse]
+    return mask, uvec[np.cumsum(hit)[inverse[mask]] - 1]
 
 
 def _apply_record_rows(

@@ -350,6 +350,19 @@ class TestPatchCmds:
         assert not (tmp_path / "o.csv").exists()
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
+    def test_apply_impossible_history_exit_2(self, tmp_path, two_point_files, capsys):
+        # no fit writes a history entry without a record, a NaN err or a
+        # Brier score outside [0, 2]
+        seq_path = tmp_path / "seq.json"
+        seq_path.write_text(json.dumps({"C": 3, "records": [], "history": [
+            {"err": float("nan"), "brier_before": -5, "brier_after": 7, "step": 9}]}))
+        rc = main(["patch-apply", str(seq_path),
+                   "--preds", two_point_files["preds"],
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert not (tmp_path / "o.csv").exists()
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize(
         "sequence",
         [

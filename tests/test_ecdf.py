@@ -95,6 +95,26 @@ class TestEcdfEvaluate:
         serial = ecdf_evaluate(d, "linear", M=M, seed=4)
         assert np.array_equal(res.errors, serial.errors)
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_rows_grouped_once_per_worker(self, monkeypatch, threads):
+        # each worker evaluates its share of the utilities in one pool
+        import utilcal.ecdf as ecdf_mod
+        from utilcal import estimators
+
+        calls = []
+        grouped = estimators.distinct_rows
+
+        def counting(probs):
+            calls.append(1)
+            return grouped(probs)
+
+        monkeypatch.setattr(estimators, "distinct_rows", counting)
+        monkeypatch.setattr(ecdf_mod.os, "cpu_count", lambda: 4)
+        d, _ = gen_calibrated(400, 5, 3, seed=2)
+        res = ecdf_evaluate(d, "linear", M=40, seed=7, threads=threads)
+        assert len(calls) == threads
+        assert res.errors.shape == (40,)
+
     def test_errors_replayable_from_kept_utilities(self):
         d, _ = gen_calibrated(300, 4, 3, seed=5)
         res = ecdf_evaluate(d, "rank", M=10, seed=3, keep_utilities=True)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,7 @@ from utilcal import (
 )
 from utilcal import estimators
 from utilcal.estimators import (
+    distinct_rows,
     oracle_trials,
     payoff_matrix,
     predicted_utility,
@@ -310,6 +313,95 @@ class TestUcHatPool:
             LabeledPredictions(probs, np.array([1, 1, 0]))
 
 
+def per_row_uc(d, spec):
+    """The per-row estimator: one contribution u_i - v_i per row."""
+    v = predicted_utility(spec, d.probs)
+    r = realized_utility(spec, d.probs, d.labels) - v
+    spread, interval, sign = estimators._worst_interval(v, r)
+    return spread / d.n, interval, sign
+
+
+def duplicated(preds, rng, n):
+    """n rows drawn with replacement from ``preds``, with fresh labels."""
+    idx = rng.integers(0, preds.n, size=n)
+    return LabeledPredictions(preds.probs[idx], rng.integers(0, preds.C, size=n))
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_grouped_within_1e15_of_per_row(self, seed):
+        # n = 2000 and C = 5: here the per-row path rounds equal rows alike
+        C = 5
+        d, _ = gen_calibrated(2000, C, 20, seed=seed)
+        assert distinct_rows(d.probs)[1] is not None
+        pool = specs_for(C, seed) + comb_pool(C) + dcg_pool()
+        for spec, est in zip(pool, uc_hat_pool(d, pool)):
+            value, interval, sign = per_row_uc(d, spec)
+            assert abs(est.value - value) <= 1e-15
+            assert (est.interval, est.sign) == (interval, sign)
+
+    def test_oracle_agrees_on_duplicated_instances(self):
+        for t in range(300):
+            rng = derive_rng(77, t)
+            preds, spec = random_instance(rng, n_max=60, c_max=8)
+            d = duplicated(preds, rng, int(rng.integers(1, 300)))
+            assert abs(uc_hat(d, spec).value - uc_hat_oracle(d, spec)) <= 1e-12
+
+    def test_continuous_inputs_keep_their_bytes(self):
+        # sha256 of the estimates the per-row estimator gave before rows
+        # were grouped; every row here is distinct
+        h = hashlib.sha256()
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            C = 4
+            pool = specs_for(C, seed) + comb_pool(C) + dcg_pool()
+            d = random_preds(rng, 300, C)
+            for C2, n in ((10, 2001), (100, 2003)):
+                d2 = random_preds(rng, n, C2)
+                pool2 = [sample_linear(C2, rng) for _ in range(5)] + comb_pool(C2)[:3]
+                for dd, pp in ((d, pool), (d2, pool2)):
+                    assert distinct_rows(dd.probs)[1] is None
+                    rows = [[e.value, *e.interval, e.sign] for e in uc_hat_pool(dd, pp)]
+                    h.update(np.array(rows).tobytes())
+        assert h.hexdigest() == (
+            "1b7ba59114b132f9f8e19f9d8829f51d29dab4063c551f8231b4a8cc83c0bcbc"
+        )
+
+    def test_distinct_input_is_returned_uncopied(self):
+        d = random_preds(np.random.default_rng(4), 50, 3)
+        rows, inverse = distinct_rows(d.probs)
+        assert rows is d.probs and inverse is None
+
+    @pytest.mark.parametrize("collide", [False, True])
+    def test_never_merges_distinct_rows(self, monkeypatch, collide):
+        # rows one ulp apart in one entry, and rows apart only in the sign
+        # of a zero, stay apart; with every hash equal, the exact check
+        # falls back to comparing whole rows
+        if collide:
+            monkeypatch.setattr(
+                estimators, "_row_hashes", lambda bits: np.zeros(len(bits), np.uint64)
+            )
+        base = np.array([0.5, 0.25, 0.25, 0.0])
+        ulp = base.copy()
+        ulp[1] = np.nextafter(0.25, 1.0)
+        signed = base.copy()
+        signed[3] = -0.0
+        probs = np.array([base, ulp, signed, base, signed, ulp, base])
+        rows, inverse = distinct_rows(probs)
+        assert len(rows) == 3
+        assert rows[inverse].tobytes() == probs.tobytes()
+        assert len(set(inverse[[0, 1, 2]])) == 3
+
+    def test_order_independent_of_row_order(self):
+        rng = np.random.default_rng(6)
+        d, _ = gen_calibrated(1001, 7, 30, seed=6)
+        rows, inverse = distinct_rows(d.probs)
+        perm = rng.permutation(d.n)
+        rows2, inverse2 = distinct_rows(d.probs[perm])
+        assert rows.tobytes() == rows2.tobytes()
+        assert np.array_equal(inverse[perm], inverse2)
+
+
 def lexsort_merge_ties(v, r):
     """The reference tie-merge: one (v, r) lexsort, then a block sum."""
     order = np.lexsort((r, v))
@@ -432,6 +524,19 @@ class TestInvariances:
             assert np.array([a.value, *a.interval]).tobytes() == np.array(
                 [b.value, *b.interval]
             ).tobytes()
+        # n not a multiple of 4: a matrix-vector product rounds a row by
+        # its position, so equal rows are evaluated once each, not per row
+        for n in (2001, 2002, 2003):
+            for C in (10, 100):
+                dup, _ = gen_calibrated(n, C, 20, seed=n)
+                dup_perm = rng.permutation(n)
+                dup2 = LabeledPredictions(dup.probs[dup_perm], dup.labels[dup_perm])
+                for _ in range(4):
+                    spec = UtilitySpec.linear(rng.uniform(-1, 1, C))
+                    a, b = uc_hat(dup, spec), uc_hat(dup2, spec)
+                    assert np.array([a.value, *a.interval, a.sign]).tobytes() == (
+                        np.array([b.value, *b.interval, b.sign]).tobytes()
+                    )
         assert brier(d) == brier(d2)
         assert accuracy(d) == accuracy(d2)
         assert tce_binned(d, BinScheme("equal-width", 15)) == tce_binned(

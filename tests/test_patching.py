@@ -26,7 +26,13 @@ from utilcal import (
     uc_hat,
 )
 from utilcal import ParseError, patching
-from utilcal.estimators import brier_matrix, payoff_matrix, predicted_utility
+from utilcal.estimators import (
+    brier_matrix,
+    distinct_rows,
+    payoff_matrix,
+    predicted_utility,
+    residuals,
+)
 from utilcal.patching import _apply_record_rows, _masked_payoff, project_simplex_rows
 from utilcal.utilities import derive_rng
 
@@ -260,6 +266,52 @@ class TestFit:
             assert drop >= h.step * h.err - 1e-12
             assert drop >= h.err**2 / C - 1e-12
 
+    def test_duplicated_rows_masked_as_the_estimator_blocks(self, monkeypatch):
+        # n = 2001 rows over 20 distinct vectors, C = 10: every step masks
+        # exactly the witness blocks, equal rows move alike, and transform
+        # replays the fitted matrix bit for bit
+        C = 10
+        d, _ = gen_miscalibrated(random_dist(derive_rng(61), 20, C), 2001, seed=3)
+        witnesses, masks, moved = [], [], []
+        find = patching.find_worst_witness
+        masked, apply = patching._masked_payoff, patching._apply_record_rows
+
+        def record_witness(preds, pool):
+            out = find(preds, pool)
+            witnesses.append((preds, *out))
+            return out
+
+        def record_mask(probs, rec):
+            out = masked(probs, rec)
+            masks.append(out[0])
+            return out
+
+        def record_move(*args):
+            out = apply(*args)
+            moved.append(out)
+            return out
+
+        monkeypatch.setattr(patching, "find_worst_witness", record_witness)
+        monkeypatch.setattr(patching, "_masked_payoff", record_mask)
+        monkeypatch.setattr(patching, "_apply_record_rows", record_move)
+        seq = fit(d, PatchConfig(epsilon=0.01, max_iters=40, augment_count=8))
+        monkeypatch.undo()
+        assert len(seq.records) == len(masks) == 40
+        for (preds, witness, err), mask in zip(witnesses, masks):
+            v, r = residuals(preds, witness.spec)
+            assert np.array_equal(mask, (v >= witness.lo) & (v <= witness.hi))
+            witnessed = -witness.sign * r[mask].sum() / preds.n
+            assert witnessed == pytest.approx(err, abs=1e-12)
+            rows, inverse = distinct_rows(preds.probs)
+            counts = np.bincount(inverse)
+            assert set(np.bincount(inverse, weights=mask) / counts) <= {0.0, 1.0}
+        assert len(distinct_rows(moved[-1])[0]) <= 20
+        for h in seq.history:
+            drop = h.brier_before - h.brier_after
+            assert drop >= h.step * h.err - 1e-12
+            assert drop >= h.err**2 / C - 1e-12
+        assert transform(d.probs, seq).tobytes() == moved[-1].tobytes()
+
     def test_step_size_evaluates_the_witness_once(self, monkeypatch):
         # the step size and the move share one mask and payoff pass: one
         # predicted-utility call on the witness outside uc_hat_pool, and no
@@ -414,6 +466,37 @@ class TestPatchSequenceJson:
         d = seq.to_json_dict()
         assert set(d) == {"C", "records", "history"}
         assert set(d["records"][0]) == {"spec", "lo", "hi", "sign", "step"}
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"err": math.nan, "brier_before": -5, "brier_after": 7, "step": 9}, "err"),
+            ({"err": 0.0}, "err"),
+            ({"err": math.inf}, "err"),
+            ({"brier_before": -5, "brier_after": -6}, "Brier"),
+            ({"brier_after": 0.6}, "Brier"),
+            ({"brier_before": 2.5}, "Brier"),
+            ({"brier_before": math.nan}, "Brier"),
+            ({"step": 0.2}, "step"),
+            (None, "2 entries for 1 records"),
+        ],
+        ids=["nan-err", "zero-err", "inf-err", "negative-brier", "brier-rises",
+             "brier-above-2", "nan-brier", "step-mismatch", "extra-entry"],
+    )
+    def test_impossible_history_rejected(self, change, match):
+        # a history is empty or one entry per record, each one a step fit
+        # could take
+        record = {"spec": {"family": "top_class"}, "lo": 0.2, "hi": 0.5,
+                  "sign": 1, "step": 0.1}
+        ok = {"err": 0.1, "brier_before": 0.5, "brier_after": 0.4, "step": 0.1}
+        history = [ok, ok] if change is None else [{**ok, **change}]
+        PatchSequence.from_json_dict({"C": 3, "records": [record], "history": [ok]})
+        with pytest.raises(DomainError, match=match):
+            PatchSequence.from_json_dict(
+                {"C": 3, "records": [record], "history": history}
+            )
+        with pytest.raises(DomainError, match="1 entries for 0 records"):
+            PatchSequence.from_json_dict({"C": 3, "records": [], "history": [ok]})
 
     @pytest.mark.parametrize("field", ["sign", "C"])
     @pytest.mark.parametrize("value", [-1.7, 3.9, True, "1"])
