@@ -18,7 +18,7 @@ import numpy as np
 from .dataset import LabeledPredictions
 from .errors import DomainError
 # uc_hat stays importable here: perfbench's tracer wraps it at this module.
-from .estimators import uc_hat, uc_hat_pool  # noqa: F401
+from .estimators import group_sample, uc_hat, uc_hat_pool  # noqa: F401
 from .utilities import SAMPLERS, UtilitySpec, derive_rng, sample_utility
 
 
@@ -75,14 +75,15 @@ def ecdf_evaluate(
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
     C = preds.C
+    law = group_sample(preds)
 
     def share(ms: range) -> list[tuple[float, UtilitySpec]]:
         specs = [sample_utility(family, C, derive_rng(seed, m)) for m in ms]
-        estimates = uc_hat_pool(preds, specs)
+        estimates = uc_hat_pool(law, specs)
         return [(est.value, spec) for est, spec in zip(estimates, specs)]
 
-    # Each worker evaluates a contiguous share of the utilities in one pool,
-    # so the sample's distinct rows are found once per share.
+    # The sample is grouped once; each worker evaluates a contiguous share of
+    # the utilities in one pool on that law.
     workers = min(threads, M, os.cpu_count() or 1)
     bounds = [M * w // workers for w in range(workers + 1)]
     shares = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]

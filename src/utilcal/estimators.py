@@ -7,7 +7,7 @@ predicted utility.  After sorting by predicted utility and merging ties,
 closed intervals correspond to contiguous blocks, so the supremum is the
 spread of the residual prefix sums; that makes the estimator O(n log n) plus
 the per-row utility evaluations.  A sample with repeated rows is evaluated
-once per distinct row (:func:`distinct_rows`), as a finite-support law.
+once per distinct row, as a finite-support law (:func:`group_sample`).
 """
 
 from __future__ import annotations
@@ -326,15 +326,59 @@ def uc_hat(preds: LabeledPredictions, spec: UtilitySpec) -> UcEstimate:
     return uc_hat_pool(preds, [spec])[0]
 
 
+@dataclass(frozen=True)
+class GroupedSample:
+    """A labelled sample as its finite-support law, built by
+    :func:`group_sample`.
+
+    ``points`` holds the distinct rows (:func:`distinct_rows`) and
+    ``inverse`` the index of each of the n rows among them; when every row
+    is distinct, ``points`` is the sample's own matrix and ``inverse``,
+    ``row_of`` and ``counts`` are None, so each row is its own pair.
+    Otherwise the sample is one (point, label) pair per distinct
+    combination: pair i joins point ``row_of[i]`` with label ``labels[i]``
+    and stands for ``counts[i]`` rows.  A step that moves every point keeps
+    the pairs, so :func:`dataclasses.replace` with new ``points`` gives the
+    law of the moved sample.
+    """
+
+    points: np.ndarray
+    inverse: np.ndarray | None
+    row_of: np.ndarray | None
+    labels: np.ndarray
+    counts: np.ndarray | None
+    n: int
+
+    def rows(self) -> np.ndarray:
+        """The n rows of the sample, gathered from the points."""
+        return self.points if self.inverse is None else self.points[self.inverse]
+
+
+def group_sample(preds: LabeledPredictions) -> GroupedSample:
+    """The distinct rows of ``preds`` and its (point, label, count) pairs."""
+    points, inverse = distinct_rows(preds.probs)
+    if inverse is None:
+        return GroupedSample(points, None, None, preds.labels, None, preds.n)
+    C = preds.C
+    keys = inverse * C  # one (row, label) key row * C + label per row
+    keys += preds.labels
+    pairs, counts = np.unique(keys, return_counts=True)
+    del keys
+    row_of, labels = np.divmod(pairs, C)
+    return GroupedSample(
+        points, inverse, row_of, labels, counts.astype(np.float64), preds.n
+    )
+
+
 def uc_hat_pool(
-    preds: LabeledPredictions, specs: Iterable[UtilitySpec]
+    data: LabeledPredictions | GroupedSample, specs: Iterable[UtilitySpec]
 ) -> list[UcEstimate]:
     """Worst-interval error of every utility in ``specs``, in order.
 
-    A sample with repeated rows is evaluated as its finite-support law: the
-    distinct rows (:func:`distinct_rows`) are found once per call, each
-    utility's v and payoff are computed once per distinct row s, and
-    :func:`_worst_interval` gets one contribution per distinct row,
+    A sample with repeated rows is evaluated as its finite-support law
+    (:func:`group_sample`; a :class:`LabeledPredictions` is grouped once per
+    call): each utility's v and payoff are computed once per distinct row s,
+    and :func:`_worst_interval` gets one contribution per distinct row,
     rho_s = sum_y N[s, y] (uvec_s[y] - v_s) = sum_y N[s, y] uvec_s[y] -
     count_s v_s, with N[s, y] the number of rows equal to s labelled y, as
     :func:`population_uc` feeds it.  Each (s, y) residual is rounded as the
@@ -348,16 +392,8 @@ def uc_hat_pool(
     once per call.  An estimate does not depend on the rest of the pool, so
     it is bit-identical to :func:`uc_hat` of its utility alone.
     """
-    probs, inverse = distinct_rows(preds.probs)
-    labels, row_of = preds.labels, None
-    if inverse is not None:  # one (row, label) pair per distinct combination
-        C = preds.C
-        inverse *= C  # in place, so the key row * C + label needs no copy
-        inverse += labels
-        pairs, pair_count = np.unique(inverse, return_counts=True)
-        del inverse
-        row_of, labels = np.divmod(pairs, C)
-        pair_count = pair_count.astype(np.float64)
+    law = data if isinstance(data, GroupedSample) else group_sample(data)
+    probs, row_of, labels = law.points, law.row_of, law.labels
     ranks = None
     by_key: dict[tuple, UcEstimate] = {}
     out = []
@@ -373,9 +409,9 @@ def uc_hat_pool(
                 r -= v
             else:
                 r -= v[row_of]
-                r = np.bincount(row_of, weights=pair_count * r, minlength=len(probs))
+                r = np.bincount(row_of, weights=law.counts * r, minlength=len(probs))
             spread, interval, sign = _worst_interval(v, r)
-            by_key[key] = UcEstimate(spread / preds.n, interval, sign)
+            by_key[key] = UcEstimate(spread / law.n, interval, sign)
         out.append(by_key[key])
     return out
 
@@ -420,12 +456,11 @@ class BinScheme:
             return np.linspace(0.0, 1.0, self.m + 1)
         s = np.sort(np.asarray(values, dtype=np.float64))
         n = len(s)
-        positions = [-(-n * j // self.m) for j in range(1, self.m)]
-        e = np.unique(
-            np.concatenate(
-                ([s[0]], s[np.array(positions, dtype=np.int64) - 1], [s[-1]])
-            )
-        )
+        # for m > n the positions ceil(n*j/m) run through every index, as
+        # they do (with the last value) for m = n
+        m = min(self.m, n)
+        positions = -(-n * np.arange(1, m, dtype=np.int64) // m)
+        e = np.unique(np.concatenate(([s[0]], s[positions - 1], [s[-1]])))
         if len(e) == 1:  # all observations identical: one degenerate bin
             e = np.array([e[0], e[0]])
         return e

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -31,8 +31,11 @@ import numpy as np
 from .dataset import LabeledPredictions, check_simplex, read_json, simplex_extremes
 from .errors import ConfigError, DomainError, ParseError
 from .estimators import (
+    GroupedSample,
+    UcEstimate,
     brier_matrix,
     distinct_rows,
+    group_sample,
     payoff_matrix,
     predicted_utility,
     uc_hat_pool,
@@ -50,19 +53,6 @@ def project_simplex_rows(X: np.ndarray) -> np.ndarray:
     rows = np.arange(X.shape[0])
     tau = (css[rows, k - 1] - 1.0) / k
     return np.maximum(X - tau[:, None], 0.0)
-
-
-@dataclass(frozen=True)
-class Witness:
-    """A worst-interval violation: utility, closed interval in v-space, and
-    the direction sign.  ``sign`` is the witness orientation xi such that the
-    violated quantity is the mean of xi * <p - e_label, uvec(p)> over masked
-    rows; the corrective update moves along -xi * uvec."""
-
-    spec: UtilitySpec
-    lo: float
-    hi: float
-    sign: int
 
 
 @dataclass(frozen=True)
@@ -214,48 +204,37 @@ class PatchConfig:
 
 
 def find_worst_witness(
-    preds: LabeledPredictions, pool: Sequence[UtilitySpec]
-) -> tuple[Witness, float]:
-    """Largest worst-interval error across the pool; earliest index wins ties.
+    data: LabeledPredictions | GroupedSample, pool: Sequence[UtilitySpec]
+) -> tuple[UtilitySpec, UcEstimate]:
+    """The pool member with the largest worst-interval error, and its
+    estimate; the earliest index wins ties.
 
     The pool goes through one :func:`uc_hat_pool` call: each distinct utility
     is evaluated once and the label ranks are shared by every rank-based
-    utility.  The returned sign is the negation of the estimator's residual
-    sign: the estimator measures realized-minus-predicted, the patch
-    direction descends on predicted-minus-realized.
+    utility.  The estimate's sign is that of the realized-minus-predicted
+    residual; a patch step descends on predicted-minus-realized, so its
+    record takes the opposite sign.
     """
     if not pool:
         raise DomainError("witness pool is empty")
-    estimates = uc_hat_pool(preds, pool)
+    estimates = uc_hat_pool(data, pool)
     best = max(range(len(pool)), key=lambda i: estimates[i].value)  # first max
-    best_est = estimates[best]
-    witness = Witness(
-        spec=pool[best],
-        lo=best_est.interval[0],
-        hi=best_est.interval[1],
-        sign=-best_est.sign,
-    )
-    return witness, best_est.value
+    return pool[best], estimates[best]
 
 
 def _masked_payoff(
-    probs: np.ndarray, rec: Witness | PatchRecord
+    points: np.ndarray, spec: UtilitySpec, lo: float, hi: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the rows whose predicted utility lies in [lo, hi], and the
-    payoff vectors of those rows.
+    """Mask of the points whose predicted utility lies in [lo, hi], and the
+    payoff vectors of those points.
 
-    Both are computed once per distinct row (:func:`distinct_rows`), with
-    the v values :func:`uc_hat_pool` computes, so equal rows get the same
-    mask and the same move and stay equal.
+    The points are distinct rows, in the order :func:`uc_hat_pool` computes
+    v in, so the mask agrees with the estimator's blocks and equal rows get
+    the same move.
     """
-    rows, inverse = distinct_rows(probs)
-    v = predicted_utility(rec.spec, rows)
-    hit = (v >= rec.lo) & (v <= rec.hi)
-    uvec = payoff_matrix(rec.spec, rows[hit])
-    if inverse is None:
-        return hit, uvec
-    mask = hit[inverse]
-    return mask, uvec[np.cumsum(hit)[inverse[mask]] - 1]
+    v = predicted_utility(spec, points)
+    hit = (v >= lo) & (v <= hi)
+    return hit, payoff_matrix(spec, points[hit])
 
 
 def _apply_record_rows(
@@ -286,8 +265,15 @@ def fit(cal: LabeledPredictions, config: PatchConfig) -> PatchSequence:
     a masked payoff entry reaches err/2 in size.  The cap 2 is the step range
     of :class:`PatchRecord`.  One mask and payoff pass serves both the step
     and the move.
+
+    ``cal`` is grouped once (:func:`group_sample`).  Every step estimates,
+    masks, sizes and moves its distinct points, which equal rows share, so
+    equal rows stay equal; the n rows are gathered only for the Brier
+    scores.  D sums each masked point's squared payoff norm times its row
+    count in ascending order, so it does not depend on the row order.
     Raises :class:`ConfigError` when epsilon is not positive (NaN included),
-    augment_count is negative or the iteration cap is below 1.
+    augment_count is negative, the iteration cap is below 1, or epsilon is
+    so small that the default cap is not finite.
     """
     if not config.epsilon > 0:
         raise ConfigError(f"epsilon must be positive, got {config.epsilon}")
@@ -297,37 +283,49 @@ def fit(cal: LabeledPredictions, config: PatchConfig) -> PatchSequence:
     base_pool = list(config.pool) if config.pool is not None else comb_pool(C)
     for spec in base_pool:
         spec.check_dim(C)
-    max_iters = (
-        config.max_iters
-        if config.max_iters is not None
-        else math.ceil(2.0 * C / config.epsilon**2) + 1
-    )
+    max_iters = config.max_iters
+    if max_iters is None:
+        eps_sq = config.epsilon**2
+        bound = 2.0 * C / eps_sq if eps_sq > 0 else math.inf
+        if not math.isfinite(bound):
+            raise ConfigError(
+                f"epsilon {config.epsilon} leaves the iteration cap "
+                "ceil(2C/epsilon^2) + 1 infinite; set max_iters (--max-iters)"
+            )
+        max_iters = math.ceil(bound) + 1
     if max_iters < 1:
         raise ConfigError("max_iters must be >= 1")
 
     families = tuple(SAMPLERS)
-    probs = cal.probs.copy()
+    law = group_sample(cal)
     labels = cal.labels
+    weight = (
+        np.ones(len(law.points))
+        if law.inverse is None
+        else np.bincount(law.inverse).astype(np.float64)
+    )
     records: list[PatchRecord] = []
     history: list[HistoryEntry] = []
-    brier_before = brier_matrix(probs, labels)
+    brier_before = brier_matrix(law.rows(), labels)
 
     for t in range(max_iters):
         pool_t = list(base_pool)
         for j in range(config.augment_count):
             fam = families[j % len(families)]
             pool_t.append(sample_utility(fam, C, derive_rng(config.augment_seed, t, j)))
-        preds_t = LabeledPredictions(probs, labels)
-        witness, err = find_worst_witness(preds_t, pool_t)
+        spec, est = find_worst_witness(law, pool_t)
+        err = est.value
         if err <= config.epsilon:
             break
-        mask, uvec = _masked_payoff(probs, witness)
-        step = min(err / float(np.mean(np.sum(uvec * uvec, axis=1))), 2.0)
-        rec = PatchRecord(witness.spec, witness.lo, witness.hi, witness.sign, step)
-        probs = _apply_record_rows(probs, rec, mask, uvec)
-        brier_after = brier_matrix(probs, labels)
+        lo, hi = est.interval
+        hit, uvec = _masked_payoff(law.points, spec, lo, hi)
+        w = weight[hit]
+        D = float(np.sort(w * np.sum(uvec * uvec, axis=1)).sum() / w.sum())
+        rec = PatchRecord(spec, lo, hi, -est.sign, min(err / D, 2.0))
+        law = replace(law, points=_apply_record_rows(law.points, rec, hit, uvec))
+        brier_after = brier_matrix(law.rows(), labels)
         records.append(rec)
-        history.append(HistoryEntry(err, brier_before, brier_after, step))
+        history.append(HistoryEntry(err, brier_before, brier_after, rec.step))
         brier_before = brier_after
 
     return PatchSequence(records=tuple(records), C=C, history=tuple(history))
@@ -337,9 +335,13 @@ def transform(data, seq: PatchSequence):
     """Apply a fitted patch sequence to predictions.
 
     Accepts a LabeledPredictions (returns the same type) or a bare
-    probability matrix (returns a matrix).  Rows stay on the simplex because
-    every step re-projects.  Raises :class:`DomainError` when an entry is
-    NaN or infinite, and :class:`ValidationError` when a row fails
+    probability matrix (returns a matrix).  The rows are grouped once
+    (:func:`distinct_rows`), every record moves the distinct rows, and the
+    result is gathered back to the input's rows, so equal rows stay equal
+    and the output follows any row permutation of the input.  Rows stay on
+    the simplex because every step re-projects.  Raises
+    :class:`DomainError` when an entry is NaN or infinite, and
+    :class:`ValidationError` when a row fails
     :func:`utilcal.dataset.validate`'s fatal thresholds.
     """
     if isinstance(data, LabeledPredictions):
@@ -354,6 +356,9 @@ def transform(data, seq: PatchSequence):
     if not np.isfinite(max_dev):
         raise DomainError("predictions hold NaN or infinite entries")
     check_simplex(max_dev, min_entry)
+    points, inverse = distinct_rows(probs)
+    del probs
     for rec in seq.records:
-        probs = _apply_record_rows(probs, rec, *_masked_payoff(probs, rec))
-    return probs
+        hit, uvec = _masked_payoff(points, rec.spec, rec.lo, rec.hi)
+        points = _apply_record_rows(points, rec, hit, uvec)
+    return points if inverse is None else points[inverse]

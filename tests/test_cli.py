@@ -299,8 +299,9 @@ class TestPatchCmds:
     @pytest.mark.parametrize(
         "args",
         [["--epsilon", "nan"], ["--epsilon", "nan", "--max-iters", "3"],
-         ["--augment", "-4"]],
-        ids=["epsilon-nan", "epsilon-nan-capped", "augment-negative"],
+         ["--augment", "-4"], ["--epsilon", "1e-300"]],
+        ids=["epsilon-nan", "epsilon-nan-capped", "augment-negative",
+             "epsilon-cap-infinite"],
     )
     def test_fit_bad_config_exit_2(self, tmp_path, two_point_files, capsys, args):
         seq_path = tmp_path / "seq.json"

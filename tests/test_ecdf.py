@@ -96,8 +96,8 @@ class TestEcdfEvaluate:
         assert np.array_equal(res.errors, serial.errors)
 
     @pytest.mark.parametrize("threads", [1, 3])
-    def test_rows_grouped_once_per_worker(self, monkeypatch, threads):
-        # each worker evaluates its share of the utilities in one pool
+    def test_rows_grouped_once_per_call(self, monkeypatch, threads):
+        # the sample is grouped once and every worker's pool shares the law
         import utilcal.ecdf as ecdf_mod
         from utilcal import estimators
 
@@ -112,7 +112,7 @@ class TestEcdfEvaluate:
         monkeypatch.setattr(ecdf_mod.os, "cpu_count", lambda: 4)
         d, _ = gen_calibrated(400, 5, 3, seed=2)
         res = ecdf_evaluate(d, "linear", M=40, seed=7, threads=threads)
-        assert len(calls) == threads
+        assert len(calls) == 1
         assert res.errors.shape == (40,)
 
     def test_errors_replayable_from_kept_utilities(self):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -642,6 +643,29 @@ class TestBinnedBaselines:
         edges = BinScheme("equal-weight", 15).edges(vals)
         assert np.all(np.diff(edges) > 0)
         assert edges[0] == 0.5 and edges[-1] == 0.9
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50])
+    def test_equal_weight_edges_for_more_bins_than_values(self, n):
+        # positions ceil(n*j/m) for m > n cover every index, as m = n does;
+        # each m up to 3n is checked against the positions listed one by one
+        vals = np.random.default_rng(n).random(n)
+        s = np.sort(vals)
+        for m in range(1, 3 * n + 1):
+            positions = [-(-n * j // m) for j in range(1, m)]
+            picked = s[np.array(positions, dtype=np.int64) - 1]
+            want = np.unique(np.concatenate(([s[0]], picked, [s[-1]])))
+            if len(want) == 1:
+                want = np.array([want[0], want[0]])
+            assert np.array_equal(BinScheme("equal-weight", m).edges(vals), want)
+        at_n = BinScheme("equal-weight", n).edges(vals)
+        tracemalloc.start()
+        try:
+            many = BinScheme("equal-weight", 10**7).edges(vals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(many, at_n)
+        assert peak < 1 << 20  # no per-bin storage
 
 
 class TestScoreMetrics:

@@ -55,7 +55,8 @@ def project_simplex(x):
 def apply_patch(p, rec):
     """One patch step on one prediction vector, as a one-row matrix."""
     probs = np.asarray(p, dtype=np.float64)[None, :]
-    return _apply_record_rows(probs, rec, *_masked_payoff(probs, rec))[0]
+    hit, uvec = _masked_payoff(probs, rec.spec, rec.lo, rec.hi)
+    return _apply_record_rows(probs, rec, hit, uvec)[0]
 
 
 def perfect_predictor(n=24, C=3):
@@ -119,34 +120,35 @@ class TestFindWorstWitness:
     def test_single_utility_pool(self):
         d = gen_two_point(20)
         spec = UtilitySpec.top_class()
-        witness, err = find_worst_witness(d, [spec])
-        est = uc_hat(d, spec)
-        assert err == est.value
-        assert (witness.lo, witness.hi) == est.interval
-        assert witness.sign == -est.sign
+        best, est = find_worst_witness(d, [spec])
+        want = uc_hat(d, spec)
+        assert best is spec
+        assert est.value == want.value
+        assert est.interval == want.interval
+        assert est.sign == want.sign
 
     def test_perfect_predictor_zero(self):
-        _, err = find_worst_witness(perfect_predictor(), comb_pool(3))
-        assert err == 0.0
+        _, est = find_worst_witness(perfect_predictor(), comb_pool(3))
+        assert est.value == 0.0
 
     def test_two_point_pool_maximum(self):
         # exhaustive evaluation of the small pool: class 1's confidence is
         # 0.275 against a 0.95 true frequency, the largest violation
         d = gen_two_point(20)
         pool = comb_pool(3) + [UtilitySpec.top_class()]
-        witness, err = find_worst_witness(d, pool)
+        best, est = find_worst_witness(d, pool)
         per_spec = [uc_hat(d, s).value for s in pool]
-        assert err == max(per_spec)
-        assert err == pytest.approx(0.3375, abs=1e-12)
-        assert witness.spec.label() == "class_wise_1"
+        assert est.value == max(per_spec)
+        assert est.value == pytest.approx(0.3375, abs=1e-12)
+        assert best.label() == "class_wise_1"
 
     def test_repeated_spec_returns_first_copy(self):
         d = gen_two_point(20)
         first, second = UtilitySpec.class_wise(1), UtilitySpec.class_wise(1)
         pool = [UtilitySpec.top_class(), first, UtilitySpec.top_k(2), second]
-        witness, err = find_worst_witness(d, pool)
-        assert witness.spec is first
-        assert err == uc_hat(d, first).value
+        best, est = find_worst_witness(d, pool)
+        assert best is first
+        assert est == uc_hat(d, first)
 
     def test_empty_pool(self):
         with pytest.raises(DomainError):
@@ -209,8 +211,8 @@ class TestFit:
 
     def test_one_theoretical_step_reduces_witnessed_violation(self):
         d = gen_two_point(20)
-        witness, err = find_worst_witness(d, [UtilitySpec.top_class()])
-        rec = PatchRecord(witness.spec, witness.lo, witness.hi, witness.sign, err / 3)
+        spec, est = find_worst_witness(d, [UtilitySpec.top_class()])
+        rec = PatchRecord(spec, *est.interval, -est.sign, est.value / 3)
         patched = transform(d, PatchSequence((rec,), 3))
         assert (
             uc_hat(patched, UtilitySpec.top_class()).value
@@ -267,22 +269,22 @@ class TestFit:
             assert drop >= h.err**2 / C - 1e-12
 
     def test_duplicated_rows_masked_as_the_estimator_blocks(self, monkeypatch):
-        # n = 2001 rows over 20 distinct vectors, C = 10: every step masks
-        # exactly the witness blocks, equal rows move alike, and transform
-        # replays the fitted matrix bit for bit
+        # n = 2001 rows over 20 distinct vectors, C = 10: every step moves
+        # the 20 points, masks exactly the witness blocks, equal rows move
+        # alike, and transform replays the fitted rows bit for bit
         C = 10
         d, _ = gen_miscalibrated(random_dist(derive_rng(61), 20, C), 2001, seed=3)
         witnesses, masks, moved = [], [], []
         find = patching.find_worst_witness
         masked, apply = patching._masked_payoff, patching._apply_record_rows
 
-        def record_witness(preds, pool):
-            out = find(preds, pool)
-            witnesses.append((preds, *out))
+        def record_witness(law, pool):
+            out = find(law, pool)
+            witnesses.append((law, *out))
             return out
 
-        def record_mask(probs, rec):
-            out = masked(probs, rec)
+        def record_mask(*args):
+            out = masked(*args)
             masks.append(out[0])
             return out
 
@@ -297,20 +299,56 @@ class TestFit:
         seq = fit(d, PatchConfig(epsilon=0.01, max_iters=40, augment_count=8))
         monkeypatch.undo()
         assert len(seq.records) == len(masks) == 40
-        for (preds, witness, err), mask in zip(witnesses, masks):
-            v, r = residuals(preds, witness.spec)
-            assert np.array_equal(mask, (v >= witness.lo) & (v <= witness.hi))
-            witnessed = -witness.sign * r[mask].sum() / preds.n
-            assert witnessed == pytest.approx(err, abs=1e-12)
+        for (law, spec, est), hit in zip(witnesses, masks):
+            assert law.points.shape == (20, C)
+            preds = LabeledPredictions(law.rows(), d.labels)
+            v, r = residuals(preds, spec)
+            mask = hit[law.inverse]
+            lo, hi = est.interval
+            assert np.array_equal(mask, (v >= lo) & (v <= hi))
+            assert est.sign * r[mask].sum() / preds.n == pytest.approx(
+                est.value, abs=1e-12
+            )
             rows, inverse = distinct_rows(preds.probs)
             counts = np.bincount(inverse)
             assert set(np.bincount(inverse, weights=mask) / counts) <= {0.0, 1.0}
-        assert len(distinct_rows(moved[-1])[0]) <= 20
         for h in seq.history:
             drop = h.brier_before - h.brier_after
             assert drop >= h.step * h.err - 1e-12
             assert drop >= h.err**2 / C - 1e-12
-        assert transform(d.probs, seq).tobytes() == moved[-1].tobytes()
+        fitted = moved[-1][witnesses[0][0].inverse]
+        assert transform(d.probs, seq).tobytes() == fitted.tobytes()
+
+    def test_rows_grouped_once_per_fit_and_transform(self, monkeypatch):
+        from utilcal import estimators
+
+        calls = []
+        grouped = estimators.distinct_rows
+
+        def counting(probs):
+            calls.append(len(probs))
+            return grouped(probs)
+
+        monkeypatch.setattr(estimators, "distinct_rows", counting)
+        monkeypatch.setattr(patching, "distinct_rows", counting)
+        d, _ = gen_miscalibrated(random_dist(derive_rng(61), 20, 6), 1001, seed=3)
+        seq = fit(d, PatchConfig(epsilon=0.01, max_iters=12, augment_count=4))
+        assert len(seq.records) == 12
+        assert calls == [1001]
+        transform(d.probs[:500], seq)
+        assert calls == [1001, 500]
+
+    def test_row_permutation_bitwise_on_duplicated_rows(self):
+        # D sums its weighted terms in sorted order: summed in row order, this
+        # permutation moved the last bit of a step
+        C = 10
+        d, _ = gen_miscalibrated(random_dist(derive_rng(62), 20, C), 2001, seed=3)
+        perm = derive_rng(1, 9).permutation(d.n)
+        shuffled = LabeledPredictions(d.probs[perm], d.labels[perm])
+        cfg = PatchConfig(
+            epsilon=0.01, max_iters=40, augment_count=8, augment_seed=1
+        )
+        assert fit(shuffled, cfg).to_json_dict() == fit(d, cfg).to_json_dict()
 
     def test_step_size_evaluates_the_witness_once(self, monkeypatch):
         # the step size and the move share one mask and payoff pass: one
@@ -318,7 +356,8 @@ class TestFit:
         # Brier pass beyond the before and after scores of the history
         d = gen_two_point(20)
         spec = UtilitySpec.top_class()
-        witness, err = find_worst_witness(d, [spec])
+        best, est = find_worst_witness(d, [spec])
+        lo, hi = est.interval
         evaluated, scored = [], []
 
         def counting(spec, probs):
@@ -333,12 +372,12 @@ class TestFit:
         monkeypatch.setattr(patching, "brier_matrix", counting_brier)
         seq = fit(d, PatchConfig(pool=[spec], epsilon=0.01, max_iters=1))
         monkeypatch.undo()
-        assert evaluated == [witness.spec]
+        assert evaluated == [best]
         assert len(scored) == 2
         v = predicted_utility(spec, d.probs)
-        uvec = payoff_matrix(spec, d.probs[(v >= witness.lo) & (v <= witness.hi)])
-        step = min(err / np.mean(np.sum(uvec**2, axis=1)), 2.0)
-        rec = PatchRecord(witness.spec, witness.lo, witness.hi, witness.sign, step)
+        uvec = payoff_matrix(spec, d.probs[(v >= lo) & (v <= hi)])
+        step = min(est.value / np.mean(np.sum(uvec**2, axis=1)), 2.0)
+        rec = PatchRecord(best, lo, hi, -est.sign, step)
         assert seq.records == (rec,)
         # transform replays the record to the rows fit moved
         assert seq.history[0].brier_after == brier_matrix(
@@ -360,6 +399,15 @@ class TestFit:
         with pytest.raises(ConfigError):
             fit(perfect_predictor(), PatchConfig(epsilon=0.0))
 
+    @pytest.mark.parametrize("epsilon", [1e-300, 1e-160])
+    def test_epsilon_without_a_finite_cap_rejected(self, epsilon):
+        # epsilon^2 underflows to 0 (1e-300) or 2C/epsilon^2 overflows
+        # (1e-160): the default cap is not finite
+        with pytest.raises(ConfigError, match="max_iters"):
+            fit(gen_two_point(20), PatchConfig(epsilon=epsilon))
+        seq = fit(gen_two_point(20), PatchConfig(epsilon=epsilon, max_iters=2))
+        assert len(seq.records) == 2
+
     @pytest.mark.parametrize(
         "config",
         [
@@ -375,6 +423,15 @@ class TestFit:
 
 
 class TestTransform:
+    def test_row_permutation_on_duplicated_rows(self):
+        # the rows are grouped in an order that depends only on their set,
+        # so the output follows the permutation bit for bit
+        d, _ = gen_miscalibrated(random_dist(derive_rng(61), 20, 10), 2001, seed=3)
+        seq = fit(d, PatchConfig(epsilon=0.01, max_iters=20, augment_count=8))
+        perm = derive_rng(2, 9).permutation(d.n)
+        out = transform(d.probs, seq)
+        assert transform(d.probs[perm], seq).tobytes() == out[perm].tobytes()
+
     def test_empty_sequence_identity(self):
         d = gen_two_point(20)
         out = transform(d.probs, PatchSequence((), 3))
