@@ -173,7 +173,6 @@ def cmd_oracle_check(args) -> int:
         n_max=args.n_max,
         c_max=args.c_max,
         seed=args.seed,
-        inject_fault=args.inject_fault,
     )
     print(f"trials: {args.trials}")
     print(f"max |uc_hat - oracle|: {max_diff:.3e}")
@@ -260,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=200)
     p.add_argument("--c-max", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_oracle_check)
 
     return parser

@@ -260,6 +260,13 @@ def validate(
     )
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """numpy's generator for ``seed``; a negative seed is a DomainError."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def split(preds: LabeledPredictions, fraction: float, seed: int) -> SplitResult:
     """Deterministic seeded Fisher-Yates split into calibration/test parts.
 
@@ -276,7 +283,7 @@ def split(preds: LabeledPredictions, fraction: float, seed: int) -> SplitResult:
         raise DomainError(
             f"fraction {fraction} leaves an empty part for n={n}"
         )
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     perm = rng.permutation(n)
     cal_idx = np.sort(perm[:n_cal])
     test_idx = np.sort(perm[n_cal:])
@@ -357,7 +364,7 @@ def gen_calibrated(
         raise DomainError("C must be >= 2")
     if n < 1:
         raise DomainError("n must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     support = _uniform_simplex(rng, (support_size, C))
     dist = FiniteDistribution(
         support=support,
@@ -388,7 +395,7 @@ def gen_miscalibrated(
         dist = FiniteDistribution(support, weights, cond)
     if n < 1:
         raise DomainError("n must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     cum_w = np.cumsum(dist.weights)
     s_idx = np.minimum(
         np.searchsorted(cum_w, rng.random(n), side="right"), dist.S - 1

@@ -36,6 +36,12 @@ class EcdfResult:
 
     def __post_init__(self) -> None:
         errors = np.sort(np.asarray(self.errors, dtype=np.float64))
+        # cdf_at, ecdf_compare and write_ecdf_csv all divide ranks by M
+        if not self.M == len(errors) >= 1:
+            raise DomainError(
+                f"M must equal the number of errors (at least 1), "
+                f"got M={self.M} for {len(errors)} errors"
+            )
         errors.setflags(write=False)
         object.__setattr__(self, "errors", errors)
 

@@ -452,9 +452,12 @@ class BinScheme:
             raise DomainError("need at least one bin")
 
     def edges(self, values: np.ndarray) -> np.ndarray:
+        return self._sorted_edges(np.sort(np.asarray(values, dtype=np.float64)))
+
+    def _sorted_edges(self, s: np.ndarray) -> np.ndarray:
+        """:meth:`edges` of the values ``s``, already in ascending order."""
         if self.kind == "equal-width":
             return np.linspace(0.0, 1.0, self.m + 1)
-        s = np.sort(np.asarray(values, dtype=np.float64))
         n = len(s)
         # for m > n the positions ceil(n*j/m) run through every index, as
         # they do (with the last value) for m = n
@@ -472,29 +475,29 @@ def _binned_error(
     """Unnormalized binned calibration error of a utility: the sum over bins
     of predicted utility of |sum_{i in bin} (v_i - u_i)|.
 
-    Identical v values are aggregated as v * count and, for the 0/1
-    utilities, the realized total is an integer, so the result is
+    Bins are intervals of v, so after one sort of (v, u) each bin is a run
+    of rows.  Identical v values are aggregated as v * count and, for the
+    0/1 utilities, the realized total is an integer, so the result is
     bit-identical under row permutations and exact when a bin's masses cancel
     by counting (e.g. the two-point construction).
     """
     v = predicted_utility(spec, preds.probs)
     u = realized_utility(spec, preds.probs, preds.labels)
-    edges = scheme.edges(v)
+    order = np.argsort(v)
+    vs, us = v[order], u[order]
+    edges = scheme._sorted_edges(vs)
     n_bins = len(edges) - 1
-
-    def bin_of(x: np.ndarray) -> np.ndarray:
-        return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, n_bins - 1)
-
-    vs = np.sort(v)  # bins are intervals of v: sorted v runs through them in order
     starts = np.flatnonzero(np.concatenate(([True], vs[1:] != vs[:-1])))
-    group_bin = bin_of(vs[starts])
+    group_bin = np.searchsorted(edges, vs[starts], side="right") - 1
+    group_bin = np.clip(group_bin, 0, n_bins - 1)  # each distinct v once
     bin_starts = np.flatnonzero(
         np.concatenate(([True], group_bin[1:] != group_bin[:-1]))
     )
     counts = np.diff(np.append(starts, len(vs)))
     gaps = np.zeros(n_bins)
-    gaps[group_bin[bin_starts]] = np.add.reduceat(vs[starts] * counts, bin_starts)
-    gaps -= np.bincount(bin_of(v), weights=u, minlength=n_bins)
+    gaps[group_bin[bin_starts]] = np.add.reduceat(
+        vs[starts] * counts, bin_starts
+    ) - np.add.reduceat(us, starts[bin_starts])
     return float(np.abs(gaps).sum())
 
 
@@ -543,6 +546,17 @@ def accuracy(preds: LabeledPredictions) -> float:
 # --- exact population quantities -------------------------------------------
 
 
+def _population_pass(
+    dist: FiniteDistribution, spec: UtilitySpec
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(v, payoff vectors, UC) of ``spec`` on the support of ``dist``: the one
+    utility pass that :func:`population_uc` and the decision checks share."""
+    v = predicted_utility(spec, dist.support)
+    uvec = payoff_matrix(spec, dist.support)
+    rho = np.einsum("ij,ij->i", dist.cond_label - dist.support, uvec) * dist.weights
+    return v, uvec, _worst_interval(v, rho)[0]
+
+
 def population_uc(dist: FiniteDistribution, spec: UtilitySpec) -> float:
     """Exact worst-interval utility calibration of a finite-support law.
 
@@ -551,10 +565,7 @@ def population_uc(dist: FiniteDistribution, spec: UtilitySpec) -> float:
     prefix-sum spread as in :func:`uc_hat`, with the weights already folded
     into the contributions.
     """
-    v = predicted_utility(spec, dist.support)
-    uvec = payoff_matrix(spec, dist.support)
-    rho = np.einsum("ij,ij->i", dist.cond_label - dist.support, uvec) * dist.weights
-    return _worst_interval(v, rho)[0]
+    return _population_pass(dist, spec)[2]
 
 
 @dataclass(frozen=True)
@@ -575,28 +586,22 @@ def risk_gap_check(
     binary action disagrees with the ideal action 1{u_Y >= t0}.  On a finite
     support, monotone post-processing composed with the t0 threshold is
     exactly a threshold rule in v, so the infimum is a minimum over the
-    enumerated rules 1{v >= s} and 1{v > s} for s in the support v values and
-    +-infinity.
+    rules 1{v >= s} for s in the support v values and the rule that commits
+    nowhere: 1{v > s} is 1{v >= s'} for the next value s' (or commits
+    nowhere), and committing everywhere is 1{v >= min v}.
     """
     if not -1.0 <= t0 <= 1.0:
         raise DomainError(f"t0 must be in [-1, 1], got {t0}")
-    v = predicted_utility(spec, dist.support)
-    uvec = payoff_matrix(spec, dist.support)
+    v, uvec, uc = _population_pass(dist, spec)
     ideal = uvec >= t0
-    mass = dist.weights[:, None] * dist.cond_label
-    penalty = np.abs(uvec - t0)
+    cost = dist.weights[:, None] * dist.cond_label * np.abs(uvec - t0)
 
     def rule_risk(decide: np.ndarray) -> float:
-        mismatch = decide[:, None] != ideal
-        return float((mass * penalty * mismatch).sum())
+        return float((cost * (decide[:, None] != ideal)).sum())
 
     risk_v = rule_risk(v >= t0)
-    candidates = [np.ones(dist.S, dtype=bool), np.zeros(dist.S, dtype=bool)]
-    for s in np.unique(v):
-        candidates.append(v >= s)
-        candidates.append(v > s)
-    risk_best = min(rule_risk(d) for d in candidates)
-    uc = population_uc(dist, spec)
+    rules = [v >= s for s in np.unique(v)] + [np.zeros(dist.S, dtype=bool)]
+    risk_best = min(rule_risk(d) for d in rules)
     return RiskGapResult(
         risk_v=risk_v,
         risk_best_monotone=risk_best,
@@ -615,25 +620,22 @@ class DcuBoundResult:
 def dcu_bound_check(dist: FiniteDistribution, spec: UtilitySpec) -> DcuBoundResult:
     """Exact check of the distance-to-calibrated-utility-predictor bound.
 
-    Builds the width-sqrt(2*UC) binning of [-1, 1], the bin-conditional mean
+    Bins [-1, 1] at width sqrt(2*UC), takes the bin-conditional mean
     realized utility g_W, and verifies E|g_W - v| <= 2*sqrt(2*UC) + UC.
+    Only the bins that hold a support point are built, whatever the width.
     """
-    uc = population_uc(dist, spec)
+    v, uvec, uc = _population_pass(dist, spec)
     if uc <= 0.0:
         return DcuBoundResult(dcu_upper=0.0, bound=0.0, holds=True)
-    v = predicted_utility(spec, dist.support)
-    uvec = payoff_matrix(spec, dist.support)
     expected_u = np.einsum("ij,ij->i", dist.cond_label, uvec)
 
     width = np.sqrt(2.0 * uc)
-    n_bins = int(np.ceil(2.0 / width))
-    bin_of = np.clip(((v + 1.0) // width).astype(np.int64), 0, n_bins - 1)
-    mass = np.bincount(bin_of, weights=dist.weights, minlength=n_bins)
-    num = np.bincount(bin_of, weights=dist.weights * expected_u, minlength=n_bins)
-    occupied = mass > 0
-    g = np.zeros(n_bins)
-    g[occupied] = num[occupied] / mass[occupied]
-    dcu_upper = float(np.sum(dist.weights * np.abs(g[bin_of] - v)))
+    # bin indices as floats: cast to an integer type, they overflow for tiny widths
+    cell = np.clip((v + 1.0) // width, 0.0, np.ceil(2.0 / width) - 1.0)
+    bin_of = np.unique(cell, return_inverse=True)[1]
+    w = dist.weights  # per-bin sums add in support order
+    g = np.bincount(bin_of, w * expected_u) / np.bincount(bin_of, w)
+    dcu_upper = float(np.sum(w * np.abs(g[bin_of] - v)))
     bound = 2.0 * np.sqrt(2.0 * uc) + uc
     return DcuBoundResult(
         dcu_upper=dcu_upper, bound=bound, holds=dcu_upper <= bound + 1e-12
@@ -748,14 +750,12 @@ def oracle_trials(
     n_max: int = 200,
     c_max: int = 8,
     seed: int = 0,
-    inject_fault: bool = False,
 ) -> tuple[float, list[int]]:
     """Run uc_hat against the brute-force oracle on random instances.
 
     Returns (max absolute difference, list of failing trial indices); a trial
-    fails when the difference exceeds 1e-12.  ``inject_fault`` perturbs the
-    first trial's estimate, for exercising the failure path.  Raises
-    :class:`DomainError` unless trials >= 1, n_max >= 1 and c_max >= 2.
+    fails when the difference exceeds 1e-12.  Raises :class:`DomainError`
+    unless trials >= 1, n_max >= 1 and c_max >= 2.
     """
     if trials < 1 or n_max < 1 or c_max < 2:
         raise DomainError(
@@ -767,8 +767,6 @@ def oracle_trials(
         rng = derive_rng(seed, t)
         preds, spec = random_instance(rng, n_max, c_max)
         got = uc_hat(preds, spec).value
-        if inject_fault and t == 0:
-            got += 1e-6
         want = uc_hat_oracle(preds, spec)
         diff = abs(got - want)
         max_diff = max(max_diff, diff)

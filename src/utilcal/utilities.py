@@ -21,8 +21,12 @@ DCG_GAMMA_GRID = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent stream for (master seed, key...); scheduling-safe."""
-    return np.random.default_rng((int(seed),) + tuple(int(k) for k in key))
+    """Independent stream for (master seed, key...); scheduling-safe.
+    Raises :class:`DomainError` on a negative seed or key."""
+    parts = (int(seed),) + tuple(int(k) for k in key)
+    if min(parts) < 0:
+        raise DomainError(f"seed and keys must be >= 0, got {parts}")
+    return np.random.default_rng(parts)
 
 
 # --- parameter rules ---------------------------------------------------------

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from utilcal import estimators
 from utilcal.cli import main
 from utilcal.dataset import (
     load_predictions_csv,
@@ -406,12 +408,41 @@ class TestOracleCheckCmd:
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
 
-    def test_fault_injection_fails_with_seed(self, capsys):
-        rc = main(["oracle-check", "--trials", "3", "--seed", "7",
-                   "--inject-fault"])
+    def test_fault_injection_fails_with_seed(self, capsys, monkeypatch):
+        real = estimators.uc_hat
+        calls = []
+
+        def perturbed(preds, spec):  # the first trial's estimate 1e-6 too high
+            calls.append(None)
+            est = real(preds, spec)
+            return replace(est, value=est.value + 1e-6) if len(calls) == 1 else est
+
+        monkeypatch.setattr(estimators, "uc_hat", perturbed)
+        rc = main(["oracle-check", "--trials", "3", "--seed", "7"])
         assert rc == 1
         out = capsys.readouterr().out
         assert "FAIL at trial 0" in out and "7" in out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["synth", "calibrated", "--seed", "-1", "--out", "{out}"],
+        ["ecdf", "--family", "linear", "--m", "3", "--seed", "-2", "--out", "{out}",
+         "--preds", "{preds}", "--labels", "{labels}"],
+        ["patch-fit", "--augment", "2", "--seed", "-3", "--out", "{out}",
+         "--preds", "{preds}", "--labels", "{labels}"],
+        ["oracle-check", "--trials", "2", "--seed", "-3"],
+    ],
+    ids=["synth", "ecdf", "patch-fit", "oracle-check"],
+)
+def test_negative_seed_exit_2(tmp_path, two_point_files, capsys, args):
+    paths = dict(two_point_files, out=str(tmp_path / "out"))
+    assert main([a.format(**paths) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "seed" in captured.err
 
 
 class TestDeterminism:

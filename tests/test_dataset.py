@@ -172,6 +172,20 @@ class TestSplit:
             split(self._data(), 0.01, seed=0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: split(gen_two_point(20), 0.5, seed=-1),
+        lambda: gen_calibrated(10, 3, 2, seed=-1),
+        lambda: gen_miscalibrated(two_point_distribution(), 10, seed=-1),
+    ],
+    ids=["split", "gen_calibrated", "gen_miscalibrated"],
+)
+def test_negative_seed_rejected(make):
+    with pytest.raises(DomainError, match="seed"):
+        make()
+
+
 class TestTwoPoint:
     def test_group_statistics_exact(self):
         d = gen_two_point(20)

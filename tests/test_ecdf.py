@@ -141,6 +141,16 @@ class TestEcdfEvaluate:
         assert np.all((res.errors >= 0) & (res.errors <= 2))
 
 
+class TestEcdfResult:
+    @pytest.mark.parametrize(
+        "n_errors, M", [(10, 5), (10, 11), (3, 0), (0, 0), (0, 1)]
+    )
+    def test_m_must_count_the_errors(self, n_errors, M):
+        # cdf_at(0.0) of ten zeros with M=5 would read 2.0
+        with pytest.raises(DomainError):
+            EcdfResult(np.zeros(n_errors), "linear", M, 0)
+
+
 class TestEcdfCompare:
     def test_identical(self):
         d, _ = gen_calibrated(100, 3, 2, seed=0)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -227,10 +228,26 @@ class TestUcHat:
         with pytest.raises(GuardError):
             uc_hat_oracle(d, UtilitySpec.top_class())
 
-    def test_fault_injection_path(self):
-        max_diff, failures = oracle_trials(3, seed=0, inject_fault=True)
+    def test_fault_injection_path(self, monkeypatch):
+        monkeypatch.setattr(estimators, "uc_hat", perturb_first_estimate())
+        max_diff, failures = oracle_trials(3, seed=0)
         assert failures == [0]
         assert max_diff >= 1e-6
+
+
+def perturb_first_estimate():
+    """A stand-in for uc_hat whose first estimate is 1e-6 too high."""
+    real = estimators.uc_hat
+    calls = []
+
+    def perturbed(preds, spec):
+        est = real(preds, spec)
+        calls.append(None)
+        if len(calls) == 1:
+            est = dataclasses.replace(est, value=est.value + 1e-6)
+        return est
+
+    return perturbed
 
 
 def specs_for(C, seed, draws=200):
@@ -692,6 +709,60 @@ class TestScoreMetrics:
         assert 0.0 <= accuracy(d) <= 1.0
 
 
+def acceptance_population(base, s, max_support=6):
+    """The population and utility of acceptance criteria 05 (base 77) and 06
+    (base 78) at seed s, with the stream they were drawn from."""
+    rng = derive_rng(base, s)
+    S = int(rng.integers(2, max_support + 1))
+    dist = random_dist(rng, S, int(rng.integers(2, 6)))
+    _, spec = random_instance(rng, n_max=1, c_max=dist.C)
+    try:
+        spec.check_dim(dist.C)
+    except DomainError:
+        spec = UtilitySpec.top_class()
+    return dist, spec, rng
+
+
+def all_threshold_rules_risk(dist, spec, t0):
+    """(risk_v, risk_best_monotone) with the minimum over all 2U + 2
+    enumerated rules: 1{v >= s} and 1{v > s} for each of the U support
+    values s, all ones and all zeros."""
+    v = predicted_utility(spec, dist.support)
+    uvec = payoff_matrix(spec, dist.support)
+    ideal = uvec >= t0
+    mass = dist.weights[:, None] * dist.cond_label
+    penalty = np.abs(uvec - t0)
+
+    def rule_risk(decide):
+        return float((mass * penalty * (decide[:, None] != ideal)).sum())
+
+    rules = [np.ones(dist.S, dtype=bool), np.zeros(dist.S, dtype=bool)]
+    for s in np.unique(v):
+        rules += [v >= s, v > s]
+    return rule_risk(v >= t0), min(rule_risk(d) for d in rules)
+
+
+def dense_grid_dcu(dist, spec):
+    """dcu_upper over one bin per width-sqrt(2 UC) cell of [-1, 1], occupied
+    or not; None when UC is 0 or the grid has more than 1e6 cells."""
+    uc = population_uc(dist, spec)
+    width = np.sqrt(2.0 * uc)
+    if uc <= 0.0 or np.ceil(2.0 / width) > 1e6:
+        return None
+    v = predicted_utility(spec, dist.support)
+    expected_u = np.einsum(
+        "ij,ij->i", dist.cond_label, payoff_matrix(spec, dist.support)
+    )
+    n_bins = int(np.ceil(2.0 / width))
+    bin_of = np.clip(((v + 1.0) // width).astype(np.int64), 0, n_bins - 1)
+    mass = np.bincount(bin_of, weights=dist.weights, minlength=n_bins)
+    num = np.bincount(bin_of, weights=dist.weights * expected_u, minlength=n_bins)
+    occupied = mass > 0
+    g = np.zeros(n_bins)
+    g[occupied] = num[occupied] / mass[occupied]
+    return float(np.sum(dist.weights * np.abs(g[bin_of] - v)))
+
+
 class TestPopulationUc:
     def test_two_point(self):
         assert population_uc(
@@ -759,6 +830,18 @@ class TestRiskGap:
         with pytest.raises(DomainError):
             risk_gap_check(two_point_distribution(), UtilitySpec.top_class(), 1.5)
 
+    def test_distinct_rules_give_the_minimum_over_all_rules(self):
+        # bit for bit, on the populations of acceptance criteria 05 and 06
+        for base in (77, 78):
+            for s in range(200):
+                dist, spec, rng = acceptance_population(base, s)
+                t0 = float(rng.uniform(-1, 1))
+                res = risk_gap_check(dist, spec, t0)
+                want_v, want_best = all_threshold_rules_risk(dist, spec, t0)
+                assert res.risk_v == want_v
+                assert res.risk_best_monotone == want_best
+                assert res.uc == population_uc(dist, spec)
+
 
 class TestDcuBound:
     def test_calibrated_zero(self):
@@ -784,6 +867,46 @@ class TestDcuBound:
             except DomainError:
                 spec = UtilitySpec.top_class()
             assert dcu_bound_check(dist, spec).holds
+
+    def test_occupied_bins_match_the_dense_grid(self):
+        # bit for bit, on the populations of acceptance criteria 05 and 06
+        # whose grid has at most 1e6 cells
+        compared = 0
+        for base in (77, 78):
+            for s in range(200):
+                dist, spec, _ = acceptance_population(base, s)
+                want = dense_grid_dcu(dist, spec)
+                if want is None:
+                    continue
+                res = dcu_bound_check(dist, spec)
+                uc = population_uc(dist, spec)
+                assert res.dcu_upper == want
+                assert res.bound == 2.0 * np.sqrt(2.0 * uc) + uc
+                assert res.holds == (want <= res.bound + 1e-12)
+                compared += 1
+        assert compared >= 300
+
+    def test_rounding_residue_uc_builds_no_grid(self):
+        # top_k(C) pays 1 on every class, so UC is a rounding residue and the
+        # width-sqrt(2 UC) grid of [-1, 1] would have about 1e8 cells
+        dist = two_point_distribution()
+        spec = UtilitySpec.top_k(3)
+        assert 0.0 < population_uc(dist, spec) < 1e-15
+        tracemalloc.start()
+        try:
+            res = dcu_bound_check(dist, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.holds
+        assert peak < 1 << 20
+
+    def test_grid_beyond_memory_holds(self):
+        # UC = 5.8e-19: a dense grid would need about 1.9e9 cells
+        dist, spec, _ = acceptance_population(77, 286, max_support=8)
+        assert (dist.S, dist.C, spec.label()) == (6, 2, "top_k_2")
+        assert 0.0 < population_uc(dist, spec) < 1e-18
+        assert dcu_bound_check(dist, spec).holds
 
 
 class TestMetricReport:

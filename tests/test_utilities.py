@@ -174,6 +174,11 @@ class TestSamplers:
         b = sample_linear(3, derive_rng(7, 5)).a
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed, key", [(-1, ()), (0, (-1,)), (3, (2, -5))])
+    def test_negative_seed_or_key_rejected(self, seed, key):
+        with pytest.raises(DomainError):
+            derive_rng(seed, *key)
+
     def test_linear_face_frequencies(self):
         # 2C faces, each hit with frequency 1/6 within 3 sigma
         N = 100_000
