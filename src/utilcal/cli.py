@@ -2,7 +2,8 @@
 
 Subcommands: validate, evaluate, ecdf, patch-fit, patch-apply, synth,
 oracle-check.  Every command is deterministic given its flags and seed; exit
-codes are 0 on success, 2 on domain/validation errors, 3 on I/O errors.
+codes are 0 on success, 3 on parse and I/O errors, 2 on every other
+utilcal error.
 """
 
 from __future__ import annotations
@@ -14,13 +15,7 @@ import sys
 import numpy as np
 
 from . import dataset, ecdf, estimators, patching
-from .errors import (
-    ConfigError,
-    DomainError,
-    GuardError,
-    ParseError,
-    ValidationError,
-)
+from .errors import DomainError, ParseError, UtilcalError
 from .utilities import FAMILY_PARAMS, SAMPLERS, UtilitySpec, comb_pool, dcg_pool, load_utility_json
 
 
@@ -66,12 +61,10 @@ def _parse_utility(token: str, C: int) -> list[tuple[str, UtilitySpec]]:
 
 
 def _write_json(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        dataset.write_json(path, payload)
 
 
 def cmd_validate(args) -> int:
@@ -268,12 +261,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, ValidationError, ConfigError, GuardError) as exc:
+    except (UtilcalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, (ParseError, OSError)) else 2
 
 
 def entry() -> None:

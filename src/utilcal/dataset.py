@@ -9,6 +9,7 @@ guarantee checks in :mod:`utilcal.estimators` rely on.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,11 +261,15 @@ def validate(
     )
 
 
-def _seeded_rng(seed: int) -> np.random.Generator:
-    """numpy's generator for ``seed``; a negative seed is a DomainError."""
+def derive_rng(seed: int, *key: int) -> np.random.Generator:
+    """Independent stream for (master seed, key...); scheduling-safe.
+    ``derive_rng(s)`` draws what ``np.random.default_rng(s)`` draws.
+    Raises :class:`DomainError` on a negative seed or key."""
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    return np.random.default_rng(seed)
+    if key and min(key) < 0:
+        raise DomainError(f"keys must be >= 0, got {key}")
+    return np.random.default_rng((int(seed),) + tuple(int(k) for k in key))
 
 
 def split(preds: LabeledPredictions, fraction: float, seed: int) -> SplitResult:
@@ -283,7 +288,7 @@ def split(preds: LabeledPredictions, fraction: float, seed: int) -> SplitResult:
         raise DomainError(
             f"fraction {fraction} leaves an empty part for n={n}"
         )
-    rng = _seeded_rng(seed)
+    rng = derive_rng(seed)
     perm = rng.permutation(n)
     cal_idx = np.sort(perm[:n_cal])
     test_idx = np.sort(perm[n_cal:])
@@ -364,7 +369,7 @@ def gen_calibrated(
         raise DomainError("C must be >= 2")
     if n < 1:
         raise DomainError("n must be >= 1")
-    rng = _seeded_rng(seed)
+    rng = derive_rng(seed)
     support = _uniform_simplex(rng, (support_size, C))
     dist = FiniteDistribution(
         support=support,
@@ -395,7 +400,7 @@ def gen_miscalibrated(
         dist = FiniteDistribution(support, weights, cond)
     if n < 1:
         raise DomainError("n must be >= 1")
-    rng = _seeded_rng(seed)
+    rng = derive_rng(seed)
     cum_w = np.cumsum(dist.weights)
     s_idx = np.minimum(
         np.searchsorted(cum_w, rng.random(n), side="right"), dist.S - 1
@@ -407,28 +412,31 @@ def gen_miscalibrated(
 # --- file formats ---------------------------------------------------------
 
 
-def load_predictions_csv(path: str, header: bool = False) -> np.ndarray:
-    """Read an n x C comma-separated float matrix."""
+def _load_csv(path: str, header: bool, ndmin: int, dtype) -> np.ndarray:
+    """The rows of a comma-separated file; a file without data rows raises
+    :class:`ParseError` (numpy's warning about it stays off stderr)."""
     try:
-        arr = np.loadtxt(
-            path, delimiter=",", skiprows=1 if header else 0, ndmin=2,
-            dtype=np.float64,
-        )
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            arr = np.loadtxt(
+                path, delimiter=",", skiprows=1 if header else 0, ndmin=ndmin,
+                dtype=dtype,
+            )
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    if len(arr) == 0:
+        raise ParseError(f"{path}: no data rows")
     return arr
+
+
+def load_predictions_csv(path: str, header: bool = False) -> np.ndarray:
+    """Read an n x C comma-separated float matrix."""
+    return _load_csv(path, header, 2, np.float64)
 
 
 def load_labels_csv(path: str, header: bool = False) -> np.ndarray:
     """Read n lines, one non-negative integer label each."""
-    try:
-        arr = np.loadtxt(
-            path, delimiter=",", skiprows=1 if header else 0, ndmin=1,
-            dtype=np.int64,
-        )
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return arr
+    return _load_csv(path, header, 1, np.int64)
 
 
 def write_predictions_csv(path: str, probs: np.ndarray) -> None:
@@ -449,11 +457,15 @@ def read_json(path: str):
             raise ParseError(f"{path}: {exc}") from exc
 
 
+def write_json(path: str, payload) -> None:
+    """``payload`` as UTF-8 JSON indented by 2, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
+
+
 def load_distribution_json(path: str) -> FiniteDistribution:
     return FiniteDistribution.from_json_dict(read_json(path))
 
 
 def write_distribution_json(path: str, dist: FiniteDistribution) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dist.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, dist.to_json_dict())

@@ -7,43 +7,47 @@ CDF of those errors with a DKW confidence band.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
-from .dataset import LabeledPredictions
+from .dataset import LabeledPredictions, write_json
 from .errors import DomainError
 # uc_hat stays importable here: perfbench's tracer wraps it at this module.
 from .estimators import group_sample, uc_hat, uc_hat_pool  # noqa: F401
-from .utilities import SAMPLERS, UtilitySpec, derive_rng, sample_utility
+from .utilities import UtilitySpec, derive_rng, sample_utility
 
 
 @dataclass(frozen=True)
 class EcdfResult:
-    """Sorted per-utility errors plus the sampling configuration."""
+    """Sorted per-utility errors plus the sampling configuration.
+
+    ``M`` is the number of errors and ``band_halfwidth`` the DKW half-width
+    at ``delta`` (None without one); both are derived, never passed.
+    """
 
     errors: np.ndarray
     family: str
-    M: int
+    _: KW_ONLY
+    M: int = field(init=False)
     seed: int
-    band_halfwidth: float | None = None
+    band_halfwidth: float | None = field(init=False)
     delta: float | None = None
     utilities: tuple[UtilitySpec, ...] | None = None
 
     def __post_init__(self) -> None:
         errors = np.sort(np.asarray(self.errors, dtype=np.float64))
         # cdf_at, ecdf_compare and write_ecdf_csv all divide ranks by M
-        if not self.M == len(errors) >= 1:
-            raise DomainError(
-                f"M must equal the number of errors (at least 1), "
-                f"got M={self.M} for {len(errors)} errors"
-            )
+        if len(errors) == 0:
+            raise DomainError("need at least one error")
         errors.setflags(write=False)
         object.__setattr__(self, "errors", errors)
+        object.__setattr__(self, "M", len(errors))
+        band = None if self.delta is None else dkw_band(self.M, self.delta)
+        object.__setattr__(self, "band_halfwidth", band)
 
     def cdf_at(self, e: np.ndarray | float) -> np.ndarray:
         return np.searchsorted(self.errors, e, side="right") / self.M
@@ -74,10 +78,10 @@ def ecdf_evaluate(
     min(threads, M, cores) workers: threads beyond the core count only
     contend.
     """
-    if family not in SAMPLERS:
-        raise DomainError(f"family must be one of {tuple(SAMPLERS)}, got {family!r}")
     if M < 1:
         raise DomainError("M must be >= 1")
+    if delta is not None:
+        dkw_band(M, delta)  # a bad delta fails before the sweep
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
     C = preds.C
@@ -99,14 +103,10 @@ def ecdf_evaluate(
     else:
         results = share(shares[0])
 
-    errors = np.array([val for val, _ in results])
-    band = dkw_band(M, delta) if delta is not None else None
     return EcdfResult(
-        errors=errors,
+        errors=np.array([val for val, _ in results]),
         family=family,
-        M=M,
         seed=seed,
-        band_halfwidth=band,
         delta=delta,
         utilities=tuple(spec for _, spec in results) if keep_utilities else None,
     )
@@ -149,6 +149,4 @@ def write_ecdf_sidecar(path: str, result: EcdfResult) -> None:
     }
     if result.utilities is not None:
         meta["utilities"] = [spec.to_json_dict() for spec in result.utilities]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    write_json(path, meta)

@@ -629,14 +629,14 @@ def dcu_bound_check(dist: FiniteDistribution, spec: UtilitySpec) -> DcuBoundResu
         return DcuBoundResult(dcu_upper=0.0, bound=0.0, holds=True)
     expected_u = np.einsum("ij,ij->i", dist.cond_label, uvec)
 
-    width = np.sqrt(2.0 * uc)
+    width = float(np.sqrt(2.0 * uc))
     # bin indices as floats: cast to an integer type, they overflow for tiny widths
     cell = np.clip((v + 1.0) // width, 0.0, np.ceil(2.0 / width) - 1.0)
     bin_of = np.unique(cell, return_inverse=True)[1]
     w = dist.weights  # per-bin sums add in support order
     g = np.bincount(bin_of, w * expected_u) / np.bincount(bin_of, w)
     dcu_upper = float(np.sum(w * np.abs(g[bin_of] - v)))
-    bound = 2.0 * np.sqrt(2.0 * uc) + uc
+    bound = 2.0 * width + uc  # Python floats, as in the uc <= 0 branch
     return DcuBoundResult(
         dcu_upper=dcu_upper, bound=bound, holds=dcu_upper <= bound + 1e-12
     )

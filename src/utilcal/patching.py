@@ -21,14 +21,13 @@ the map transfers to unseen predictions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import LabeledPredictions, check_simplex, read_json, simplex_extremes
+from .dataset import LabeledPredictions, check_simplex, read_json, simplex_extremes, write_json
 from .errors import ConfigError, DomainError, ParseError
 from .estimators import (
     GroupedSample,
@@ -175,9 +174,7 @@ class PatchSequence:
             raise ParseError(f"malformed patch sequence: {exc!r}") from exc
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path: str) -> "PatchSequence":
@@ -281,8 +278,6 @@ def fit(cal: LabeledPredictions, config: PatchConfig) -> PatchSequence:
         raise ConfigError(f"augment_count must be >= 0, got {config.augment_count}")
     C = cal.C
     base_pool = list(config.pool) if config.pool is not None else comb_pool(C)
-    for spec in base_pool:
-        spec.check_dim(C)
     max_iters = config.max_iters
     if max_iters is None:
         eps_sq = config.epsilon**2

@@ -108,6 +108,28 @@ class TestValidateCmd:
         fixed = load_predictions_csv(out)
         assert abs(fixed.sum() - 1.0) <= 1e-12
 
+    def test_evaluate_renormalize_reads_the_repaired_rows(self, tmp_path):
+        # evaluate --renormalize reports on exactly the rows that
+        # validate --renormalize --out writes
+        rng = np.random.default_rng(12)
+        probs = rng.dirichlet(np.ones(4), 60) * (1.0 + rng.uniform(-4e-4, 4e-4, (60, 1)))
+        write_predictions_csv(tmp_path / "noisy.csv", probs)
+        write_labels_csv(tmp_path / "l.csv", rng.integers(0, 4, 60))
+        labels = ["--labels", str(tmp_path / "l.csv")]
+        assert main(["validate", "--preds", str(tmp_path / "noisy.csv"), *labels,
+                     "--renormalize", "--out", str(tmp_path / "fixed.csv")]) == 0
+        for name, preds, extra in (("a.json", "noisy.csv", ["--renormalize"]),
+                                   ("b.json", "fixed.csv", [])):
+            assert main(["evaluate", "--preds", str(tmp_path / preds), *labels,
+                         "--utility", "comb", "--out", str(tmp_path / name),
+                         *extra]) == 0
+        a = (tmp_path / "a.json").read_bytes()
+        assert a == (tmp_path / "b.json").read_bytes()
+        # the noise is large enough that the unrepaired rows score differently
+        assert main(["evaluate", "--preds", str(tmp_path / "noisy.csv"), *labels,
+                     "--utility", "comb", "--out", str(tmp_path / "c.json")]) == 0
+        assert (tmp_path / "c.json").read_bytes() != a
+
     def test_out_without_renormalize_exit_2(self, two_point_files, tmp_path, capsys):
         out = tmp_path / "fixed.csv"
         rc = main(["validate", "--preds", two_point_files["preds"],
@@ -443,6 +465,26 @@ def test_negative_seed_exit_2(tmp_path, two_point_files, capsys, args):
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert "seed" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("header", [False, True], ids=["empty", "header-only"])
+@pytest.mark.parametrize("empty", ["preds", "labels", "patch-apply"])
+def test_csv_without_rows_exit_3(tmp_path, two_point_files, capsys, header, empty):
+    path = tmp_path / "empty.csv"
+    path.write_text("a,b,c\n" if header else "")
+    if empty == "patch-apply":
+        seq = tmp_path / "seq.json"
+        seq.write_text(json.dumps({"C": 3, "records": [], "history": []}))
+        args = ["patch-apply", str(seq), "--preds", str(path),
+                "--out", str(tmp_path / "o.csv")]
+    else:
+        files = dict(two_point_files, **{empty: str(path)})
+        args = ["evaluate", "--preds", files["preds"], "--labels", files["labels"]]
+    rc = main(args + (["--header"] if header else []))
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err == f"error: {path}: no data rows\n"
 
 
 class TestDeterminism:

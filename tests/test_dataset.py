@@ -19,6 +19,7 @@ from utilcal import (
     validate,
 )
 from utilcal.dataset import (
+    derive_rng,
     load_distribution_json,
     load_labels_csv,
     load_predictions_csv,
@@ -184,6 +185,14 @@ class TestSplit:
 def test_negative_seed_rejected(make):
     with pytest.raises(DomainError, match="seed"):
         make()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**63])
+def test_seed_alone_draws_numpys_stream(seed):
+    # split and the generators draw from derive_rng(seed): numpy's own stream
+    ours, numpys = derive_rng(seed), np.random.default_rng(seed)
+    assert ours.random(16).tobytes() == numpys.random(16).tobytes()
+    assert np.array_equal(ours.permutation(50), numpys.permutation(50))
 
 
 class TestTwoPoint:

@@ -130,6 +130,25 @@ class TestEcdfEvaluate:
         with pytest.raises(DomainError, match="threads"):
             ecdf_evaluate(perfect_predictor(), "linear", M=5, seed=0, threads=threads)
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, math.nan])
+    def test_bad_delta_fails_before_the_sweep(self, monkeypatch, delta):
+        import utilcal.ecdf as ecdf_mod
+
+        calls = []
+        pool = ecdf_mod.uc_hat_pool
+
+        def counting(law, specs):
+            calls.append(1)
+            return pool(law, specs)
+
+        monkeypatch.setattr(ecdf_mod, "uc_hat_pool", counting)
+        d, _ = gen_calibrated(200, 4, 3, seed=0)
+        with pytest.raises(DomainError, match="delta"):
+            ecdf_evaluate(d, "linear", M=300, seed=0, delta=delta)
+        assert calls == []
+        ecdf_evaluate(d, "linear", M=3, seed=0, delta=0.05)
+        assert calls == [1]
+
     def test_band_attached(self):
         res = ecdf_evaluate(perfect_predictor(), "linear", M=100, seed=0, delta=0.05)
         assert res.band_halfwidth == pytest.approx(dkw_band(100, 0.05), abs=1e-15)
@@ -142,13 +161,18 @@ class TestEcdfEvaluate:
 
 
 class TestEcdfResult:
-    @pytest.mark.parametrize(
-        "n_errors, M", [(10, 5), (10, 11), (3, 0), (0, 0), (0, 1)]
-    )
-    def test_m_must_count_the_errors(self, n_errors, M):
-        # cdf_at(0.0) of ten zeros with M=5 would read 2.0
-        with pytest.raises(DomainError):
-            EcdfResult(np.zeros(n_errors), "linear", M, 0)
+    def test_m_and_band_derive_from_the_errors(self):
+        res = EcdfResult(np.array([0.3, 0.1, 0.2]), "linear", seed=0, delta=0.05)
+        assert res.M == 3 and res.band_halfwidth == dkw_band(3, 0.05)
+        assert res.cdf_at(0.2) == 2 / 3
+        assert EcdfResult(np.zeros(3), "linear", seed=0).band_halfwidth is None
+        # neither can be passed: an old positional call would bind M to 5
+        with pytest.raises(TypeError):
+            EcdfResult(np.zeros(10), "linear", 5, 0)
+        with pytest.raises(TypeError):
+            EcdfResult(np.zeros(10), "linear", M=5, seed=0)
+        with pytest.raises(DomainError):  # cdf_at divides by M
+            EcdfResult(np.zeros(0), "linear", seed=0)
 
 
 class TestEcdfCompare:
@@ -159,15 +183,15 @@ class TestEcdfCompare:
         assert out.sup_distance == 0.0 and out.l2_distance == 0.0
 
     def test_extreme_step_functions(self):
-        zeros = EcdfResult(np.zeros(10), "linear", 10, 0)
-        twos = EcdfResult(np.full(10, 2.0), "linear", 10, 0)
+        zeros = EcdfResult(np.zeros(10), "linear", seed=0)
+        twos = EcdfResult(np.full(10, 2.0), "linear", seed=0)
         out = ecdf_compare(zeros, twos)
         assert out.sup_distance == 1.0
         assert out.l2_distance == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_family_mismatch(self):
-        a = EcdfResult(np.zeros(3), "linear", 3, 0)
-        b = EcdfResult(np.zeros(3), "rank", 3, 0)
+        a = EcdfResult(np.zeros(3), "linear", seed=0)
+        b = EcdfResult(np.zeros(3), "rank", seed=0)
         with pytest.raises(DomainError):
             ecdf_compare(a, b)
 
@@ -185,8 +209,8 @@ class TestMonotoneRefinement:
         rng = np.random.default_rng(3)
         errors = np.sort(rng.uniform(0, 2, 40))
         extra = rng.uniform(0, 2, 1)
-        old = EcdfResult(errors, "linear", 40, 0)
-        new = EcdfResult(np.concatenate([errors, extra]), "linear", 41, 0)
+        old = EcdfResult(errors, "linear", seed=0)
+        new = EcdfResult(np.concatenate([errors, extra]), "linear", seed=0)
         grid = np.linspace(0, 2, 401)
         drop = np.max(old.cdf_at(grid) - new.cdf_at(grid))
         assert drop <= 1.0 / 40 + 1e-15

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -409,6 +410,34 @@ class TestDistinctRows:
         assert len(rows) == 3
         assert rows[inverse].tobytes() == probs.tobytes()
         assert len(set(inverse[[0, 1, 2]])) == 3
+
+    def test_hashes_prove_rows_distinct(self):
+        # the first column repeats but no row does: the hashes show it
+        probs = np.array([[0.5, 0.5, 0.0], [0.5, 0.25, 0.25], [0.2, 0.3, 0.5]])
+        rows, inverse = distinct_rows(probs)
+        assert rows is probs and inverse is None
+
+    def test_collision_fallback_orders_as_np_unique(self, monkeypatch):
+        d, _ = gen_calibrated(600, 4, 12, seed=9)
+        pool = [UtilitySpec.top_class()] + [UtilitySpec.class_wise(c) for c in range(4)]
+
+        def estimate_bits():
+            return np.array([[e.value, *e.interval, e.sign] for e in uc_hat_pool(d, pool)])
+
+        hashed = estimate_bits()
+        monkeypatch.setattr(
+            estimators, "_row_hashes", lambda bits: np.zeros(len(bits), np.uint64)
+        )
+        # every row distinct: the input comes back uncopied
+        probs = np.array([[0.5, 0.5, 0.0], [0.5, 0.25, 0.25], [0.5, 0.0, 0.5]])
+        rows, inverse = distinct_rows(probs)
+        assert rows is probs and inverse is None
+        # repeated rows: np.unique's order, and the input gathered bitwise
+        rows, inverse = distinct_rows(d.probs)
+        want = np.unique(d.probs.view(np.uint64), axis=0).view(np.float64)
+        assert rows.tobytes() == want.tobytes()
+        assert rows[inverse].tobytes() == d.probs.tobytes()
+        assert estimate_bits().tobytes() == hashed.tobytes()
 
     def test_order_independent_of_row_order(self):
         rng = np.random.default_rng(6)
@@ -867,6 +896,18 @@ class TestDcuBound:
             except DomainError:
                 spec = UtilitySpec.top_class()
             assert dcu_bound_check(dist, spec).holds
+
+    @pytest.mark.parametrize("calibrated", [True, False])
+    def test_fields_are_python_scalars(self, calibrated):
+        dist = (
+            gen_calibrated(10, 3, 4, seed=6)[1] if calibrated
+            else two_point_distribution()
+        )
+        spec = UtilitySpec.top_class()
+        assert (population_uc(dist, spec) == 0.0) == calibrated
+        res = dcu_bound_check(dist, spec)
+        assert [type(x) for x in dataclasses.astuple(res)] == [float, float, bool]
+        json.dumps(dataclasses.asdict(res))
 
     def test_occupied_bins_match_the_dense_grid(self):
         # bit for bit, on the populations of acceptance criteria 05 and 06

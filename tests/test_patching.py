@@ -399,6 +399,19 @@ class TestFit:
         with pytest.raises(ConfigError):
             fit(perfect_predictor(), PatchConfig(epsilon=0.0))
 
+    @pytest.mark.parametrize(
+        "wrong", [UtilitySpec.linear(np.ones(4)), UtilitySpec.class_wise(3)],
+        ids=["linear-C4", "class_wise-3"],
+    )
+    @pytest.mark.parametrize("calibrated", [False, True])
+    def test_pool_member_for_another_c_rejected(self, wrong, calibrated):
+        # C = 3; the first witness pass checks every member, even on data
+        # it finds calibrated at once
+        data = perfect_predictor() if calibrated else gen_two_point(20)
+        pool = [UtilitySpec.top_class(), wrong]
+        with pytest.raises(DomainError):
+            fit(data, PatchConfig(pool=pool))
+
     @pytest.mark.parametrize("epsilon", [1e-300, 1e-160])
     def test_epsilon_without_a_finite_cap_rejected(self, epsilon):
         # epsilon^2 underflows to 0 (1e-300) or 2C/epsilon^2 overflows
