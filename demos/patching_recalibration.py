@@ -14,7 +14,6 @@ import numpy as np
 
 from utilcal import (
     FiniteDistribution,
-    PatchConfig,
     brier,
     comb_pool,
     fit,
@@ -44,7 +43,7 @@ def run() -> None:
     parts = split(data, 0.7, seed=0)
     cal, test = parts.calibration, parts.test
 
-    seq = fit(cal, PatchConfig(epsilon=0.02))
+    seq = fit(cal, epsilon=0.02)
     print(f"iterations: {len(seq.records)}")
     h0, h1 = seq.history[0], seq.history[-1]
     print(f"worst pool error on cal: {h0.err:.4f} -> <= 0.02")

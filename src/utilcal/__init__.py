@@ -48,7 +48,6 @@ from .estimators import (
     uc_hat_pool,
 )
 from .patching import (
-    PatchConfig,
     PatchRecord,
     PatchSequence,
     find_worst_witness,
@@ -83,7 +82,6 @@ __all__ = [
     "LabeledPredictions",
     "MetricReport",
     "ParseError",
-    "PatchConfig",
     "PatchRecord",
     "PatchSequence",
     "RiskGapResult",

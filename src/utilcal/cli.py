@@ -118,13 +118,13 @@ def cmd_ecdf(args) -> int:
 
 def cmd_patch_fit(args) -> int:
     preds = _load_preds(args)
-    config = patching.PatchConfig(
+    seq = patching.fit(
+        preds,
         epsilon=args.epsilon,
         max_iters=args.max_iters,
         augment_count=args.augment,
         augment_seed=args.seed,
     )
-    seq = patching.fit(preds, config)
     seq.save(args.out)
     with open(args.out + ".history.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("iteration,err,brier\n")

@@ -21,6 +21,7 @@ from .dataset import FiniteDistribution, LabeledPredictions
 from .errors import DomainError, GuardError
 from .utilities import (
     UtilitySpec,
+    as_int,
     comb_pool,
     dcg_discounts,
     derive_rng,
@@ -331,43 +332,39 @@ class GroupedSample:
     """A labelled sample as its finite-support law, built by
     :func:`group_sample`.
 
-    ``points`` holds the distinct rows (:func:`distinct_rows`) and
-    ``inverse`` the index of each of the n rows among them; when every row
-    is distinct, ``points`` is the sample's own matrix and ``inverse``,
-    ``row_of`` and ``counts`` are None, so each row is its own pair.
-    Otherwise the sample is one (point, label) pair per distinct
-    combination: pair i joins point ``row_of[i]`` with label ``labels[i]``
-    and stands for ``counts[i]`` rows.  A step that moves every point keeps
-    the pairs, so :func:`dataclasses.replace` with new ``points`` gives the
-    law of the moved sample.
+    ``points`` holds the distinct rows (:func:`distinct_rows`); when every
+    row is distinct, ``points`` is the sample's own matrix and ``row_of``
+    and ``counts`` are None, so each row is its own pair.  Otherwise the
+    sample is one (point, label) pair per distinct combination: pair i joins
+    point ``row_of[i]`` with label ``labels[i]`` and stands for
+    ``counts[i]`` rows.  A step that moves every point keeps the pairs, so
+    :func:`dataclasses.replace` with new ``points`` gives the law of the
+    moved sample.
     """
 
     points: np.ndarray
-    inverse: np.ndarray | None
     row_of: np.ndarray | None
     labels: np.ndarray
     counts: np.ndarray | None
     n: int
 
-    def rows(self) -> np.ndarray:
-        """The n rows of the sample, gathered from the points."""
-        return self.points if self.inverse is None else self.points[self.inverse]
+    def pair_points(self) -> np.ndarray:
+        """The point of each (point, label) pair."""
+        return self.points if self.row_of is None else self.points[self.row_of]
 
 
 def group_sample(preds: LabeledPredictions) -> GroupedSample:
     """The distinct rows of ``preds`` and its (point, label, count) pairs."""
     points, inverse = distinct_rows(preds.probs)
     if inverse is None:
-        return GroupedSample(points, None, None, preds.labels, None, preds.n)
+        return GroupedSample(points, None, preds.labels, None, preds.n)
     C = preds.C
     keys = inverse * C  # one (row, label) key row * C + label per row
     keys += preds.labels
     pairs, counts = np.unique(keys, return_counts=True)
     del keys
     row_of, labels = np.divmod(pairs, C)
-    return GroupedSample(
-        points, inverse, row_of, labels, counts.astype(np.float64), preds.n
-    )
+    return GroupedSample(points, row_of, labels, counts.astype(np.float64), preds.n)
 
 
 def uc_hat_pool(
@@ -401,8 +398,7 @@ def uc_hat_pool(
         key = spec.key()
         if key not in by_key:
             if ranks is None and _FORMS[spec.family][0] == "rank":
-                pair_probs = probs if row_of is None else probs[row_of]
-                ranks = _label_ranks(pair_probs, labels)
+                ranks = _label_ranks(law.pair_points(), labels)
             v = predicted_utility(spec, probs)
             r = realized_utility(spec, probs, labels, ranks, row_of)
             if row_of is None:
@@ -448,7 +444,7 @@ class BinScheme:
     def __post_init__(self) -> None:
         if self.kind not in ("equal-weight", "equal-width"):
             raise DomainError(f"unknown bin kind {self.kind!r}")
-        if self.m < 1:
+        if as_int("m", self.m) < 1:
             raise DomainError("need at least one bin")
 
     def edges(self, values: np.ndarray) -> np.ndarray:
@@ -521,16 +517,24 @@ def cwe_binned(preds: LabeledPredictions, scheme: BinScheme) -> float:
     return total
 
 
-def brier_matrix(probs: np.ndarray, labels: np.ndarray) -> float:
+def brier_matrix(
+    probs: np.ndarray, labels: np.ndarray, counts: np.ndarray | None = None
+) -> float:
     """Mean squared distance between one-hot labels and predictions.
 
-    Per-row terms are summed in sorted order so the score is bit-identical
-    under row permutations.
+    With ``counts``, row i stands for ``counts[i]`` rows (the pairs of a
+    :class:`GroupedSample`) and its term is repeated that many times.
+    Per-row terms are summed in sorted order, so the score is bit-identical
+    under row permutations, and a law's score is bit-identical to that of
+    the rows it stands for: both sum the same sorted array.
     """
     diff = probs.copy()
     diff[np.arange(len(labels)), labels] -= 1.0
-    per_row = np.sort(np.sum(diff * diff, axis=1))
-    return float(per_row.sum() / len(labels))
+    per_row = np.sum(diff * diff, axis=1)
+    if counts is not None:
+        per_row = np.repeat(per_row, counts.astype(np.intp))
+    per_row = np.sort(per_row)
+    return float(per_row.sum() / len(per_row))
 
 
 def brier(preds: LabeledPredictions) -> float:

@@ -22,7 +22,7 @@ the map transfers to unseen predictions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +39,11 @@ from .estimators import (
     predicted_utility,
     uc_hat_pool,
 )
-from .utilities import SAMPLERS, UtilitySpec, as_int, comb_pool, derive_rng, sample_utility
+from .utilities import (
+    SAMPLERS, UtilitySpec, as_float, as_int, comb_pool, derive_rng, sample_utility
+)
+
+MAX_STEP = 2.0  # a record's largest step: the cap of fit's step min(err/D, 2)
 
 
 def project_simplex_rows(X: np.ndarray) -> np.ndarray:
@@ -67,8 +71,8 @@ class PatchRecord:
             raise DomainError(f"witness interval [{self.lo}, {self.hi}] needs lo <= hi")
         if self.sign not in (-1, 1):
             raise DomainError(f"sign must be -1 or +1, got {self.sign}")
-        if not 0.0 < self.step <= 2.0:
-            raise DomainError(f"step must be in (0, 2], got {self.step}")
+        if not 0.0 < self.step <= MAX_STEP:
+            raise DomainError(f"step must be in (0, {MAX_STEP:g}], got {self.step}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -84,10 +88,10 @@ class PatchRecord:
         try:
             return cls(
                 spec=UtilitySpec.from_json_dict(d["spec"]),
-                lo=float(d["lo"]),
-                hi=float(d["hi"]),
+                lo=as_float("lo", d["lo"]),
+                hi=as_float("hi", d["hi"]),
                 sign=as_int("sign", d["sign"]),
-                step=float(d["step"]),
+                step=as_float("step", d["step"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed patch record: {exc!r}") from exc
@@ -95,15 +99,14 @@ class PatchRecord:
 
 @dataclass(frozen=True)
 class HistoryEntry:
-    """One fitted step: the witnessed error, Brier before and after, and the
-    step size.  Raises :class:`DomainError` unless err is finite and
-    positive and both Brier values lie in [0, 2] with no increase, as every
-    step :func:`fit` takes has them."""
+    """One fitted step: the witnessed error and Brier before and after; the
+    step size is its record's.  Raises :class:`DomainError` unless err is
+    finite and positive and both Brier values lie in [0, 2] with no
+    increase, as every step :func:`fit` takes has them."""
 
     err: float
     brier_before: float
     brier_after: float
-    step: float
 
     def __post_init__(self) -> None:
         if not 0.0 < self.err < math.inf:  # NaN fails too
@@ -118,8 +121,10 @@ class HistoryEntry:
 @dataclass(frozen=True)
 class PatchSequence:
     """Fitted patch records and, optionally, the history of the fit that
-    wrote them: empty, or one entry per record with the record's step
-    (:class:`DomainError` otherwise)."""
+    wrote them: empty, or one entry per record (:class:`DomainError`
+    otherwise).  In JSON each history entry also carries its record's step;
+    :meth:`from_json_dict` raises :class:`DomainError` when the two differ
+    and :class:`ParseError` on a missing or mistyped field."""
 
     records: tuple[PatchRecord, ...]
     C: int
@@ -131,47 +136,37 @@ class PatchSequence:
                 f"history has {len(self.history)} entries for "
                 f"{len(self.records)} records"
             )
-        for i, (h, rec) in enumerate(zip(self.history, self.records)):
-            if h.step != rec.step:
-                raise DomainError(
-                    f"history entry {i} has step {h.step}, its record {rec.step}"
-                )
 
     def to_json_dict(self) -> dict:
         return {
             "C": self.C,
             "records": [r.to_json_dict() for r in self.records],
             "history": [
-                {
-                    "err": h.err,
-                    "brier_before": h.brier_before,
-                    "brier_after": h.brier_after,
-                    "step": h.step,
-                }
-                for h in self.history
+                {**asdict(h), "step": rec.step}
+                for h, rec in zip(self.history, self.records)
             ],
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PatchSequence":
         try:
-            return cls(
-                records=tuple(
-                    PatchRecord.from_json_dict(r) for r in d["records"]
-                ),
-                C=as_int("C", d["C"]),
-                history=tuple(
-                    HistoryEntry(
-                        err=float(h["err"]),
-                        brier_before=float(h["brier_before"]),
-                        brier_after=float(h["brier_after"]),
-                        step=float(h["step"]),
-                    )
-                    for h in d.get("history", [])
-                ),
+            records = tuple(PatchRecord.from_json_dict(r) for r in d["records"])
+            C = as_int("C", d["C"])
+            entries = d.get("history", [])
+            steps = [as_float("step", h["step"]) for h in entries]
+            history = tuple(
+                HistoryEntry(*(as_float(f.name, h[f.name]) for f in fields(HistoryEntry)))
+                for h in entries
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed patch sequence: {exc!r}") from exc
+        seq = cls(records, C, history)
+        for i, (step, rec) in enumerate(zip(steps, records)):
+            if step != rec.step:
+                raise DomainError(
+                    f"history entry {i} has step {step}, its record {rec.step}"
+                )
+        return seq
 
     def save(self, path: str) -> None:
         write_json(path, self.to_json_dict())
@@ -179,25 +174,6 @@ class PatchSequence:
     @classmethod
     def load(cls, path: str) -> "PatchSequence":
         return cls.from_json_dict(read_json(path))
-
-
-@dataclass
-class PatchConfig:
-    """Recalibration hyperparameters.
-
-    ``pool`` defaults to the class-wise + top-K pool of the calibration data;
-    ``max_iters`` defaults to the termination bound ceil(2C/epsilon^2) + 1
-    that the module docstring proves.  ``augment_count`` > 0 adds that many
-    sampled utilities to the pool at each iteration t, their families taken
-    in turn from :data:`utilcal.utilities.SAMPLERS` and utility j drawn from
-    the stream (``augment_seed``, t, j); 0 leaves the pool as it is.
-    """
-
-    pool: Sequence[UtilitySpec] | None = None
-    epsilon: float = 0.01
-    max_iters: int | None = None
-    augment_count: int = 0
-    augment_seed: int = 0
 
 
 def find_worst_witness(
@@ -250,78 +226,88 @@ def _apply_record_rows(
     return out
 
 
-def fit(cal: LabeledPredictions, config: PatchConfig) -> PatchSequence:
+def fit(
+    cal: LabeledPredictions,
+    *,
+    pool: Sequence[UtilitySpec] | None = None,
+    epsilon: float = 0.01,
+    max_iters: int | None = None,
+    augment_count: int = 0,
+    augment_seed: int = 0,
+) -> PatchSequence:
     """Run the patching loop on a calibration set.
+
+    ``pool`` defaults to the class-wise + top-K pool of the calibration data;
+    ``max_iters`` defaults to the termination bound ceil(2C/epsilon^2) + 1
+    that the module docstring proves.  ``augment_count`` > 0 adds that many
+    sampled utilities to the pool at each iteration t, their families taken
+    in turn from :data:`utilcal.utilities.SAMPLERS` and utility j drawn from
+    the stream (``augment_seed``, t, j).
 
     Stops once the worst pool error is at most epsilon or the iteration cap
     is hit.  Each applied iteration takes the quadratic-bound step
-    min(err/D, 2), with D the mean squared payoff norm over the witness's
-    masked rows, and decreases the Brier score by at least step * err and at
-    least err^2/C.  D > 0: a step is taken only when err > epsilon > 0, the
-    witness interval's ends are observed v values so some row is masked, and
-    a masked payoff entry reaches err/2 in size.  The cap 2 is the step range
-    of :class:`PatchRecord`.  One mask and payoff pass serves both the step
-    and the move.
+    min(err/D, MAX_STEP), with D the mean squared payoff norm over the
+    witness's masked rows, and decreases the Brier score by at least
+    step * err and at least err^2/C.  D > 0: a step is taken only when
+    err > epsilon > 0, the witness interval's ends are observed v values so
+    some row is masked, and a masked payoff entry reaches err/2 in size.
+    One mask and payoff pass serves both the step and the move.
 
     ``cal`` is grouped once (:func:`group_sample`).  Every step estimates,
     masks, sizes and moves its distinct points, which equal rows share, so
-    equal rows stay equal; the n rows are gathered only for the Brier
-    scores.  D sums each masked point's squared payoff norm times its row
-    count in ascending order, so it does not depend on the row order.
-    Raises :class:`ConfigError` when epsilon is not positive (NaN included),
+    equal rows stay equal; Brier is scored on the (point, label, count)
+    pairs, bit for bit the n rows' score, so the rows are never gathered.
+    D sums each masked point's squared payoff norm times its row count in
+    ascending order, so it does not depend on the row order.  Raises
+    :class:`ConfigError` when epsilon is not positive (NaN included),
     augment_count is negative, the iteration cap is below 1, or epsilon is
-    so small that the default cap is not finite.
+    so small that the default cap is not finite, and :class:`TypeError`
+    when max_iters or augment_count is not an integer.
     """
-    if not config.epsilon > 0:
-        raise ConfigError(f"epsilon must be positive, got {config.epsilon}")
-    if config.augment_count < 0:
-        raise ConfigError(f"augment_count must be >= 0, got {config.augment_count}")
+    if not epsilon > 0:
+        raise ConfigError(f"epsilon must be positive, got {epsilon}")
+    if as_int("augment_count", augment_count) < 0:
+        raise ConfigError(f"augment_count must be >= 0, got {augment_count}")
     C = cal.C
-    base_pool = list(config.pool) if config.pool is not None else comb_pool(C)
-    max_iters = config.max_iters
+    base_pool = list(pool) if pool is not None else comb_pool(C)
     if max_iters is None:
-        eps_sq = config.epsilon**2
+        eps_sq = epsilon**2
         bound = 2.0 * C / eps_sq if eps_sq > 0 else math.inf
         if not math.isfinite(bound):
             raise ConfigError(
-                f"epsilon {config.epsilon} leaves the iteration cap "
+                f"epsilon {epsilon} leaves the iteration cap "
                 "ceil(2C/epsilon^2) + 1 infinite; set max_iters (--max-iters)"
             )
         max_iters = math.ceil(bound) + 1
-    if max_iters < 1:
+    elif as_int("max_iters", max_iters) < 1:
         raise ConfigError("max_iters must be >= 1")
 
     families = tuple(SAMPLERS)
     law = group_sample(cal)
-    labels = cal.labels
-    weight = (
-        np.ones(len(law.points))
-        if law.inverse is None
-        else np.bincount(law.inverse).astype(np.float64)
-    )
+    S = len(law.points)
+    weight = np.ones(S) if law.row_of is None else np.bincount(law.row_of, law.counts, S)
     records: list[PatchRecord] = []
     history: list[HistoryEntry] = []
-    brier_before = brier_matrix(law.rows(), labels)
+    briers = [brier_matrix(law.pair_points(), law.labels, law.counts)]
 
     for t in range(max_iters):
         pool_t = list(base_pool)
-        for j in range(config.augment_count):
+        for j in range(augment_count):
             fam = families[j % len(families)]
-            pool_t.append(sample_utility(fam, C, derive_rng(config.augment_seed, t, j)))
+            pool_t.append(sample_utility(fam, C, derive_rng(augment_seed, t, j)))
         spec, est = find_worst_witness(law, pool_t)
         err = est.value
-        if err <= config.epsilon:
+        if err <= epsilon:
             break
         lo, hi = est.interval
         hit, uvec = _masked_payoff(law.points, spec, lo, hi)
         w = weight[hit]
         D = float(np.sort(w * np.sum(uvec * uvec, axis=1)).sum() / w.sum())
-        rec = PatchRecord(spec, lo, hi, -est.sign, min(err / D, 2.0))
+        rec = PatchRecord(spec, lo, hi, -est.sign, min(err / D, MAX_STEP))
         law = replace(law, points=_apply_record_rows(law.points, rec, hit, uvec))
-        brier_after = brier_matrix(law.rows(), labels)
+        briers.append(brier_matrix(law.pair_points(), law.labels, law.counts))
         records.append(rec)
-        history.append(HistoryEntry(err, brier_before, brier_after, rec.step))
-        brier_before = brier_after
+        history.append(HistoryEntry(err, *briers[-2:]))  # Brier before and after
 
     return PatchSequence(records=tuple(records), C=C, history=tuple(history))
 

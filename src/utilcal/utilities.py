@@ -31,6 +31,18 @@ def as_int(name: str, value) -> int:
     return int(value)
 
 
+def as_float(name: str, value) -> float:
+    """``value`` as a float; a bool or a non-real value (JSON ``"0.2"``,
+    ``true``) is a TypeError, and an integer past the float range is +-inf
+    as JSON's ``1e400`` is."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class IntRange:
     """An integer in [lo, C + hi_from_C]."""
@@ -59,11 +71,10 @@ class PositiveReal:
     format = staticmethod("{:g}".format)
 
     def coerce(self, name: str, value) -> float:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise TypeError(f"{name} must be a real number, got {value!r}")
-        if not (math.isfinite(value) and value > 0):
+        real = as_float(name, value)
+        if not (math.isfinite(real) and real > 0):
             raise DomainError(f"{name} must be a finite real > 0, got {value!r}")
-        return float(value)
+        return real
 
     def check_dim(self, name: str, value: float, C: int) -> None:
         pass

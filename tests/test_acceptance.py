@@ -15,7 +15,6 @@ from utilcal import (
     BinScheme,
     FiniteDistribution,
     LabeledPredictions,
-    PatchConfig,
     UtilitySpec,
     comb_pool,
     cwe_binned,
@@ -163,7 +162,7 @@ def test_criterion_07_patching_convergence():
         C = 3 if i % 2 == 0 else 10
         dist = random_dist(derive_rng(500, i), 4, C)
         d, _ = gen_miscalibrated(dist, 5000, seed=i)
-        seq = fit(d, PatchConfig(epsilon=eps))
+        seq = fit(d, epsilon=eps)
         cap = math.ceil(2 * C / eps**2) + 1
         assert len(seq.records) <= cap
         for h in seq.history:

@@ -220,6 +220,8 @@ class TestEvaluateCmd:
             ({"family": "class_wise", "params": {"c": 1.5}}, 3),
             ({"family": "top_k", "params": {"k": 1.5}}, 3),
             ({"family": "linear", "params": {"a": [float("nan"), 0.0, 0.0]}}, 2),
+            # float() overflowed with a traceback
+            ({"family": "dcg", "params": {"gamma": 10**400}}, 2),
         ],
     )
     def test_bad_utility_json_params(self, two_point_files, tmp_path, capsys, params, code):
@@ -398,8 +400,19 @@ class TestPatchCmds:
             {"C": 3, "records": [{"spec": {"family": "top_class"}, "lo": 0.2,
                                   "hi": 0.5, "sign": -1.7, "step": 0.1}]},
             {"C": 2.9, "records": []},
+            {"C": 3, "records": [{"spec": {"family": "top_class"}, "lo": "0.2",
+                                  "hi": 0.5, "sign": 1, "step": 0.1}]},
+            {"C": 3, "records": [{"spec": {"family": "top_class"}, "lo": 0.2,
+                                  "hi": True, "sign": 1, "step": 0.1}]},
+            {"C": 3, "records": [{"spec": {"family": "top_class"}, "lo": 0.2,
+                                  "hi": 0.5, "sign": 1, "step": "0.5"}]},
+            {"C": 3, "records": [{"spec": {"family": "top_class"}, "lo": 0.2,
+                                  "hi": 0.5, "sign": 1, "step": 0.1}],
+             "history": [{"err": True, "brier_before": 0.5, "brier_after": 0.4,
+                          "step": 0.1}]},
         ],
-        ids=["list", "record-7", "lo-abc", "sign-float", "C-float"],
+        ids=["list", "record-7", "lo-abc", "sign-float", "C-float", "lo-string",
+             "hi-true", "step-string", "err-true"],
     )
     def test_apply_malformed_sequence_exit_3(self, tmp_path, two_point_files,
                                              capsys, sequence):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,8 +38,11 @@ from utilcal import (
     uc_hat_pool,
 )
 from utilcal import estimators
+from utilcal.dataset import load_labels_csv, load_predictions_csv
 from utilcal.estimators import (
+    brier_matrix,
     distinct_rows,
+    group_sample,
     oracle_trials,
     payoff_matrix,
     predicted_utility,
@@ -684,6 +688,13 @@ class TestBinnedBaselines:
             assert cwe_binned(d, scheme) == float(want_cwe)
             assert accuracy(d) == float(np.mean(i_star == d.labels))
 
+    @pytest.mark.parametrize("m", [2.5, 3.0, True, "3"])
+    def test_bin_count_must_be_an_integer(self, m):
+        # 2.5 failed inside the edge search with numpy's IndexError, and
+        # True asked for one bin
+        with pytest.raises(TypeError, match="m must be an integer"):
+            BinScheme("equal-weight", m)
+
     def test_equal_weight_edges_merge_duplicates(self):
         vals = np.array([0.5] * 50 + [0.9] * 50)
         edges = BinScheme("equal-weight", 15).edges(vals)
@@ -731,6 +742,22 @@ class TestScoreMetrics:
                 e = (1.0 if j == d.labels[i] else 0.0) - d.probs[i, j]
                 total += e * e
         assert brier(d) == pytest.approx(total / d.n, abs=1e-12)
+
+    def test_brier_of_a_law_is_bitwise_that_of_its_rows(self):
+        # each pair's term repeated by its count sorts to the very array of
+        # the n rows' terms, so the two sums share every bit
+        golden = Path(__file__).parent / "golden" / "inputs"
+        probs = load_predictions_csv(str(golden / "preds.csv"))
+        samples = [LabeledPredictions(probs, load_labels_csv(str(golden / "labels.csv")))]
+        for s in range(100):
+            rng = derive_rng(95, s)
+            n, C, S = (int(rng.integers(*r)) for r in ((40, 3000), (2, 13), (1, 40)))
+            samples.append(gen_calibrated(n, C, S, seed=s)[0])
+        for d in samples:
+            law = group_sample(d)
+            assert law.counts is not None and len(law.points) < d.n
+            got = brier_matrix(law.pair_points(), law.labels, law.counts)
+            assert got.hex() == brier(d).hex()
 
     def test_ranges(self):
         d = random_preds(np.random.default_rng(2), 200, 5)

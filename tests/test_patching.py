@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from utilcal import (
     DomainError,
     FiniteDistribution,
     LabeledPredictions,
-    PatchConfig,
     PatchRecord,
     PatchSequence,
     UtilitySpec,
@@ -19,6 +19,7 @@ from utilcal import (
     comb_pool,
     find_worst_witness,
     fit,
+    gen_calibrated,
     gen_miscalibrated,
     gen_two_point,
     split,
@@ -194,14 +195,13 @@ class TestApplyPatch:
 
 class TestFit:
     def test_already_calibrated_stops_immediately(self):
-        seq = fit(perfect_predictor(), PatchConfig(epsilon=0.01))
+        seq = fit(perfect_predictor(), epsilon=0.01)
         assert seq.records == ()
         assert seq.history == ()
 
     def test_two_point_single_utility_descent(self):
         d = gen_two_point(200)
-        cfg = PatchConfig(pool=[UtilitySpec.top_class()], epsilon=0.01)
-        seq = fit(d, cfg)
+        seq = fit(d, pool=[UtilitySpec.top_class()], epsilon=0.01)
         out = transform(d, seq)
         assert uc_hat(out, UtilitySpec.top_class()).value <= 0.01
         assert seq.history[-1].brier_after < seq.history[0].brier_before
@@ -222,8 +222,7 @@ class TestFit:
     def test_miscalibrated_comb_pool_converges(self):
         dist = random_dist(derive_rng(17), 4, 5)
         d, _ = gen_miscalibrated(dist, 2000, seed=1)
-        cfg = PatchConfig(epsilon=0.02)
-        seq = fit(d, cfg)
+        seq = fit(d, epsilon=0.02)
         briers = [h.brier_after for h in seq.history]
         assert all(a >= b for a, b in zip(briers, briers[1:]))
         out = transform(d, seq)
@@ -232,19 +231,18 @@ class TestFit:
     def test_termination_cap(self):
         d = gen_two_point(40)
         eps = 0.05
-        seq = fit(d, PatchConfig(pool=[UtilitySpec.top_class()], epsilon=eps))
+        seq = fit(d, pool=[UtilitySpec.top_class()], epsilon=eps)
         assert len(seq.records) <= math.ceil(2 * 3 / eps**2) + 1
 
     def test_max_iters_respected(self):
         d = gen_two_point(40)
-        seq = fit(d, PatchConfig(pool=[UtilitySpec.top_class()],
-                                 epsilon=1e-6, max_iters=5))
+        seq = fit(d, pool=[UtilitySpec.top_class()], epsilon=1e-6, max_iters=5)
         assert len(seq.records) == 5
 
     def test_quadratic_bound_descent(self):
         dist = random_dist(derive_rng(23), 3, 4)
         d, _ = gen_miscalibrated(dist, 1500, seed=2)
-        seq = fit(d, PatchConfig(epsilon=0.02))
+        seq = fit(d, epsilon=0.02)
         briers = [h.brier_after for h in seq.history]
         assert all(a >= b for a, b in zip(briers, briers[1:]))
         out = transform(d, seq)
@@ -260,12 +258,12 @@ class TestFit:
         sharp = probs**3 / np.sum(probs**3, axis=1, keepdims=True)
         labels = (rng.random((1500, 1)) > np.cumsum(sharp, axis=1)).sum(axis=1)
         d = LabeledPredictions(probs, np.minimum(labels, C - 1))
-        seq = fit(d, PatchConfig(epsilon=0.01, max_iters=60,
-                                 augment_count=augment, augment_seed=augment))
+        seq = fit(d, epsilon=0.01, max_iters=60,
+                  augment_count=augment, augment_seed=augment)
         assert len(seq.history) >= 10
-        for h in seq.history:
+        for h, rec in zip(seq.history, seq.records):
             drop = h.brier_before - h.brier_after
-            assert drop >= h.step * h.err - 1e-12
+            assert drop >= rec.step * h.err - 1e-12
             assert drop >= h.err**2 / C - 1e-12
 
     def test_duplicated_rows_masked_as_the_estimator_blocks(self, monkeypatch):
@@ -296,27 +294,31 @@ class TestFit:
         monkeypatch.setattr(patching, "find_worst_witness", record_witness)
         monkeypatch.setattr(patching, "_masked_payoff", record_mask)
         monkeypatch.setattr(patching, "_apply_record_rows", record_move)
-        seq = fit(d, PatchConfig(epsilon=0.01, max_iters=40, augment_count=8))
+        seq = fit(d, epsilon=0.01, max_iters=40, augment_count=8)
         monkeypatch.undo()
         assert len(seq.records) == len(masks) == 40
+        # fit's law keeps the order of the first grouping: row i is point
+        # inverse[i] at every step
+        points, inverse = distinct_rows(d.probs)
+        assert witnesses[0][0].points.tobytes() == points.tobytes()
         for (law, spec, est), hit in zip(witnesses, masks):
             assert law.points.shape == (20, C)
-            preds = LabeledPredictions(law.rows(), d.labels)
+            preds = LabeledPredictions(law.points[inverse], d.labels)
             v, r = residuals(preds, spec)
-            mask = hit[law.inverse]
+            mask = hit[inverse]
             lo, hi = est.interval
             assert np.array_equal(mask, (v >= lo) & (v <= hi))
             assert est.sign * r[mask].sum() / preds.n == pytest.approx(
                 est.value, abs=1e-12
             )
-            rows, inverse = distinct_rows(preds.probs)
-            counts = np.bincount(inverse)
-            assert set(np.bincount(inverse, weights=mask) / counts) <= {0.0, 1.0}
-        for h in seq.history:
+            _, group = distinct_rows(preds.probs)
+            counts = np.bincount(group)
+            assert set(np.bincount(group, weights=mask) / counts) <= {0.0, 1.0}
+        for h, rec in zip(seq.history, seq.records):
             drop = h.brier_before - h.brier_after
-            assert drop >= h.step * h.err - 1e-12
+            assert drop >= rec.step * h.err - 1e-12
             assert drop >= h.err**2 / C - 1e-12
-        fitted = moved[-1][witnesses[0][0].inverse]
+        fitted = moved[-1][inverse]
         assert transform(d.probs, seq).tobytes() == fitted.tobytes()
 
     def test_rows_grouped_once_per_fit_and_transform(self, monkeypatch):
@@ -332,7 +334,7 @@ class TestFit:
         monkeypatch.setattr(estimators, "distinct_rows", counting)
         monkeypatch.setattr(patching, "distinct_rows", counting)
         d, _ = gen_miscalibrated(random_dist(derive_rng(61), 20, 6), 1001, seed=3)
-        seq = fit(d, PatchConfig(epsilon=0.01, max_iters=12, augment_count=4))
+        seq = fit(d, epsilon=0.01, max_iters=12, augment_count=4)
         assert len(seq.records) == 12
         assert calls == [1001]
         transform(d.probs[:500], seq)
@@ -345,10 +347,10 @@ class TestFit:
         d, _ = gen_miscalibrated(random_dist(derive_rng(62), 20, C), 2001, seed=3)
         perm = derive_rng(1, 9).permutation(d.n)
         shuffled = LabeledPredictions(d.probs[perm], d.labels[perm])
-        cfg = PatchConfig(
+        cfg = dict(
             epsilon=0.01, max_iters=40, augment_count=8, augment_seed=1
         )
-        assert fit(shuffled, cfg).to_json_dict() == fit(d, cfg).to_json_dict()
+        assert fit(shuffled, **cfg).to_json_dict() == fit(d, **cfg).to_json_dict()
 
     def test_step_size_evaluates_the_witness_once(self, monkeypatch):
         # the step size and the move share one mask and payoff pass: one
@@ -364,13 +366,13 @@ class TestFit:
             evaluated.append(spec)
             return predicted_utility(spec, probs)
 
-        def counting_brier(probs, labels):
+        def counting_brier(probs, labels, counts=None):
             scored.append(1)
-            return brier_matrix(probs, labels)
+            return brier_matrix(probs, labels, counts)
 
         monkeypatch.setattr(patching, "predicted_utility", counting)
         monkeypatch.setattr(patching, "brier_matrix", counting_brier)
-        seq = fit(d, PatchConfig(pool=[spec], epsilon=0.01, max_iters=1))
+        seq = fit(d, pool=[spec], epsilon=0.01, max_iters=1)
         monkeypatch.undo()
         assert evaluated == [best]
         assert len(scored) == 2
@@ -386,18 +388,41 @@ class TestFit:
 
     def test_augmented_pool_is_deterministic(self):
         d = gen_two_point(40)
-        cfg = PatchConfig(
+        cfg = dict(
             epsilon=0.05,
             augment_count=8,
             augment_seed=3,
         )
-        a = fit(d, cfg)
-        b = fit(d, cfg)
+        a = fit(d, **cfg)
+        b = fit(d, **cfg)
         assert a.to_json_dict() == b.to_json_dict()
+
+    def test_fit_builds_no_n_by_c_matrix(self):
+        # 200 000 rows over 20 distinct vectors: every step and every Brier
+        # score reads the 20 points and their (point, label) pairs, so the
+        # fit's peak stays below one n x C float64 array (16 MB)
+        C, n = 10, 200_000
+        d, _ = gen_miscalibrated(random_dist(derive_rng(63), 20, C), n, seed=5)
+        tracemalloc.start()
+        try:
+            seq = fit(d, epsilon=1e-6, max_iters=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(seq.records) == 3
+        assert peak < n * C * 8
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True])
+    @pytest.mark.parametrize("name", ["max_iters", "augment_count"])
+    def test_count_settings_must_be_integers(self, name, value):
+        # range() failed on 2.5 with a TypeError naming no parameter, and
+        # True ran as 1
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            fit(gen_two_point(20), epsilon=0.01, **{name: value})
 
     def test_bad_epsilon(self):
         with pytest.raises(ConfigError):
-            fit(perfect_predictor(), PatchConfig(epsilon=0.0))
+            fit(perfect_predictor(), epsilon=0.0)
 
     @pytest.mark.parametrize(
         "wrong", [UtilitySpec.linear(np.ones(4)), UtilitySpec.class_wise(3)],
@@ -410,29 +435,29 @@ class TestFit:
         data = perfect_predictor() if calibrated else gen_two_point(20)
         pool = [UtilitySpec.top_class(), wrong]
         with pytest.raises(DomainError):
-            fit(data, PatchConfig(pool=pool))
+            fit(data, pool=pool)
 
     @pytest.mark.parametrize("epsilon", [1e-300, 1e-160])
     def test_epsilon_without_a_finite_cap_rejected(self, epsilon):
         # epsilon^2 underflows to 0 (1e-300) or 2C/epsilon^2 overflows
         # (1e-160): the default cap is not finite
         with pytest.raises(ConfigError, match="max_iters"):
-            fit(gen_two_point(20), PatchConfig(epsilon=epsilon))
-        seq = fit(gen_two_point(20), PatchConfig(epsilon=epsilon, max_iters=2))
+            fit(gen_two_point(20), epsilon=epsilon)
+        seq = fit(gen_two_point(20), epsilon=epsilon, max_iters=2)
         assert len(seq.records) == 2
 
     @pytest.mark.parametrize(
         "config",
         [
-            PatchConfig(epsilon=float("nan")),
-            PatchConfig(epsilon=float("nan"), max_iters=3),
-            PatchConfig(augment_count=-4),
+            dict(epsilon=float("nan")),
+            dict(epsilon=float("nan"), max_iters=3),
+            dict(augment_count=-4),
         ],
         ids=["epsilon-nan", "epsilon-nan-capped", "augment-negative"],
     )
     def test_bad_config_rejected(self, config):
         with pytest.raises(ConfigError):
-            fit(perfect_predictor(), config)
+            fit(perfect_predictor(), **config)
 
 
 class TestTransform:
@@ -440,7 +465,7 @@ class TestTransform:
         # the rows are grouped in an order that depends only on their set,
         # so the output follows the permutation bit for bit
         d, _ = gen_miscalibrated(random_dist(derive_rng(61), 20, 10), 2001, seed=3)
-        seq = fit(d, PatchConfig(epsilon=0.01, max_iters=20, augment_count=8))
+        seq = fit(d, epsilon=0.01, max_iters=20, augment_count=8)
         perm = derive_rng(2, 9).permutation(d.n)
         out = transform(d.probs, seq)
         assert transform(d.probs[perm], seq).tobytes() == out[perm].tobytes()
@@ -452,7 +477,7 @@ class TestTransform:
 
     def test_replay_matches_fit_bitwise(self):
         d = gen_two_point(200)
-        seq = fit(d, PatchConfig(pool=[UtilitySpec.top_class()], epsilon=0.01))
+        seq = fit(d, pool=[UtilitySpec.top_class()], epsilon=0.01)
         replayed = transform(d.probs, seq)
         assert brier(LabeledPredictions(replayed, d.labels)) == pytest.approx(
             seq.history[-1].brier_after, abs=1e-15
@@ -463,7 +488,7 @@ class TestTransform:
     def test_rows_stay_on_simplex(self):
         dist = random_dist(derive_rng(5), 4, 6)
         d, _ = gen_miscalibrated(dist, 1000, seed=4)
-        seq = fit(d, PatchConfig(epsilon=0.03))
+        seq = fit(d, epsilon=0.03)
         out = transform(d.probs, seq)
         assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= 1e-9
         assert np.min(out) >= 0.0
@@ -507,7 +532,7 @@ class TestTransform:
             dist = random_dist(derive_rng(1000, s), 3, 3)
             data, _ = gen_miscalibrated(dist, 4000, seed=s)
             parts = split(data, 0.5, seed=s)
-            seq = fit(parts.calibration, PatchConfig(epsilon=0.03))
+            seq = fit(parts.calibration, epsilon=0.03)
             before = max(
                 uc_hat(parts.test, u).value for u in comb_pool(3)
             )
@@ -520,7 +545,7 @@ class TestTransform:
 class TestPatchSequenceJson:
     def test_roundtrip(self, tmp_path):
         d = gen_two_point(40)
-        seq = fit(d, PatchConfig(pool=[UtilitySpec.top_class()], epsilon=0.05))
+        seq = fit(d, pool=[UtilitySpec.top_class()], epsilon=0.05)
         path = tmp_path / "seq.json"
         seq.save(path)
         again = PatchSequence.load(path)
@@ -567,6 +592,36 @@ class TestPatchSequenceJson:
             )
         with pytest.raises(DomainError, match="1 entries for 0 records"):
             PatchSequence.from_json_dict({"C": 3, "records": [], "history": [ok]})
+
+    @pytest.mark.parametrize(
+        "where, field",
+        [("record", "lo"), ("record", "hi"), ("record", "step"),
+         ("history", "err"), ("history", "brier_before"),
+         ("history", "brier_after"), ("history", "step")],
+    )
+    @pytest.mark.parametrize("value", ["0.2", True], ids=["string", "true"])
+    def test_non_real_fields_rejected(self, where, field, value):
+        # float() would take "0.2" as 0.2 and true as 1.0
+        record = {"spec": {"family": "top_class"}, "lo": 0.2, "hi": 0.5,
+                  "sign": 1, "step": 0.2}
+        entry = {"err": 0.1, "brier_before": 0.5, "brier_after": 0.4, "step": 0.2}
+        d = {"C": 3, "records": [record], "history": [entry]}
+        PatchSequence.from_json_dict(d)
+        (record if where == "record" else entry)[field] = value
+        with pytest.raises(ParseError, match=f"{field} must be a real number"):
+            PatchSequence.from_json_dict(d)
+
+    def test_integer_reals_accepted(self):
+        record = {"spec": {"family": "top_class"}, "lo": 0, "hi": 1,
+                  "sign": 1, "step": 1}
+        entry = {"err": 1, "brier_before": 1, "brier_after": 0, "step": 1}
+        seq = PatchSequence.from_json_dict(
+            {"C": 3, "records": [record], "history": [entry]}
+        )
+        assert seq.records[0] == PatchRecord(UtilitySpec.top_class(), 0.0, 1.0, 1, 1.0)
+        assert seq.to_json_dict()["history"] == [
+            {"err": 1.0, "brier_before": 1.0, "brier_after": 0.0, "step": 1.0}
+        ]
 
     @pytest.mark.parametrize("field", ["sign", "C"])
     @pytest.mark.parametrize("value", [-1.7, 3.9, True, "1"])

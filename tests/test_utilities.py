@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from utilcal import (
     sample_linear,
     sample_rank,
 )
+from utilcal.utilities import as_float
 
 
 def random_simplex(rng, C):
@@ -371,6 +374,13 @@ class TestSpecValidation:
         # a stray field would make == disagree with key(), label() and JSON
         with pytest.raises(DomainError, match="takes no parameter"):
             UtilitySpec(**kwargs)
+
+    def test_integer_beyond_the_float_range_reads_as_inf(self):
+        # as JSON's 1e400 does; float() raised OverflowError, a traceback
+        # in the CLI
+        assert as_float("x", 10**400) == math.inf
+        assert as_float("x", -(10**400)) == -math.inf
+        assert as_float("x", 3) == 3.0
 
     def test_non_integer_index_type_error(self):
         with pytest.raises(TypeError):
