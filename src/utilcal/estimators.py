@@ -72,6 +72,66 @@ def _label_ranks(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return greater + tied_before + 1
 
 
+# Each matrix product in _column_products multiplies at most _ROW_BLOCK rows
+# by exactly _TILE columns: a wider tile costs a lone member more work, a
+# narrower one costs a pool more calls per row block.
+_ROW_BLOCK = 4096
+_TILE = 32
+# Values in one chunk of a pool's stacked products (32 MiB of float64), so a
+# pool of any size holds about this much v at once.
+_CHUNK_ELEMENTS = 1 << 22
+
+
+def _column_products(probs: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The K columns of ``probs @ G`` as the rows of a K x n array, so each
+    column is contiguous.
+
+    Every matrix product is one block of at most _ROW_BLOCK rows times
+    exactly _TILE columns of G, the last tile padded with zero columns.
+    OpenBLAS picks its kernel, and with it the rounding, from the shape of
+    a call: a product with 2, 4 or 24 columns can give a column different
+    last bits.  With one shape per row block, a column's bits do not depend
+    on which other columns share its product or where it sits among them,
+    so a pool member gets the bits it gets alone.  A row's bits may still
+    depend on the block it falls in.  The blocks are as even as possible,
+    so no block is a lone row, which numpy would send to its
+    matrix-vector path.
+    """
+    n = len(probs)
+    C, K = G.shape
+    padded = np.zeros((C, -(-K // _TILE) * _TILE))
+    padded[:, :K] = G
+    # contiguous tiles, so every call passes BLAS the same layout
+    tiles = [np.ascontiguousarray(padded[:, t : t + _TILE]) for t in range(0, K, _TILE)]
+    out = np.empty((K, n))
+    blocks = -(-n // _ROW_BLOCK)
+    bounds = [n * b // blocks for b in range(blocks + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        block = probs[lo:hi]
+        for t, tile in zip(range(0, K, _TILE), tiles):
+            w = min(_TILE, K - t)
+            out[t : t + w, lo:hi] = (block @ tile)[:, :w].T
+    return out
+
+
+def _column_chunks(widths: Sequence[int], n: int) -> list[range]:
+    """Runs of consecutive members whose stacked columns form one chunk of
+    at most _CHUNK_ELEMENTS values at n rows, in whole tiles when one fits;
+    a member wider than that is a chunk of its own."""
+    cap = max(1, _CHUNK_ELEMENTS // n)
+    if cap > _TILE:
+        cap -= cap % _TILE
+    chunks, start, width = [], 0, 0
+    for i, w in enumerate(widths):
+        if i > start and width + w > cap:
+            chunks.append(range(start, i))
+            start, width = i, 0
+        width += w
+    if widths:
+        chunks.append(range(start, len(widths)))
+    return chunks
+
+
 def predicted_utility(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
     """Predicted utility v_u for every row of ``probs``."""
     probs = np.asarray(probs, dtype=np.float64)
@@ -84,9 +144,8 @@ def predicted_utility(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
     if form == "column":
         if param is None:
             return probs.max(axis=1)
-        if param.shape[1] == 1:
-            return probs @ param[:, 0]
-        return (probs @ param).max(axis=1)
+        prods = _column_products(probs, param)
+        return prods[0] if len(prods) == 1 else prods.max(axis=0)
     if form == "unit":  # + 0.0 reads a -0.0 entry as 0.0, as p @ e_c does
         return probs[:, param] + 0.0
     if form == "rank":
@@ -119,7 +178,7 @@ def realized_utility(
             return (labels == probs.argmax(axis=1)[at]).astype(np.float64)
         if param.shape[1] == 1:  # 1-D indexing: a mixed index is twice as slow
             return param[:, 0][labels]
-        return param[labels, (probs @ param).argmax(axis=1)[at]]
+        return param[labels, _column_products(probs, param).argmax(axis=0)[at]]
     if form == "unit":
         return (labels == param).astype(np.float64)
     if form == "rank":
@@ -145,7 +204,7 @@ def payoff_matrix(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
             return out
         if param.shape[1] == 1:
             return np.broadcast_to(param[:, 0], (n, C)).copy()
-        return param[:, (probs @ param).argmax(axis=1)].T
+        return param[:, _column_products(probs, param).argmax(axis=0)].T
     if form == "unit":
         out = np.zeros((n, C))
         out[:, param] = 1.0
@@ -384,32 +443,59 @@ def uc_hat_pool(
     every row is distinct each row is its own contribution u_i - v_i.
 
     Each distinct utility (by :meth:`UtilitySpec.key`) is evaluated once and
-    its repeats share the estimate.  The true-class label ranks, which the
-    realized utility of every top_k, rank and dcg member reads, are computed
-    once per call.  An estimate does not depend on the rest of the pool, so
-    it is bit-identical to :func:`uc_hat` of its utility alone.
+    its repeats share the estimate.  The matrix-payoff members (``linear``,
+    ``decision``, ``gain_matrix``) are stacked into one matrix product per
+    chunk of columns (:func:`_column_chunks`, :func:`_column_products`), so
+    the rows are read once per chunk rather than once per member; a K-column
+    member's v and realized argmax come from the same product.  The
+    true-class label ranks, which the realized utility of every top_k, rank
+    and dcg member reads, are computed once per call.  An estimate does not
+    depend on the rest of the pool or on the chunking, so it is
+    bit-identical to :func:`uc_hat` of its utility alone.
     """
     law = data if isinstance(data, GroupedSample) else group_sample(data)
     probs, row_of, labels = law.points, law.row_of, law.labels
-    ranks = None
+    specs = list(specs)
     by_key: dict[tuple, UcEstimate] = {}
-    out = []
+
+    def estimate(key: tuple, v: np.ndarray, r: np.ndarray) -> None:
+        """Record the estimate of predicted ``v`` and realized payoff ``r``
+        (turned into the residual in place)."""
+        if row_of is None:
+            r -= v
+        else:
+            r -= v[row_of]
+            r = np.bincount(row_of, weights=law.counts * r, minlength=len(probs))
+        spread, interval, sign = _worst_interval(v, r)
+        by_key[key] = UcEstimate(spread / law.n, interval, sign)
+
+    stacked: dict[tuple, np.ndarray] = {}
+    for spec in specs:
+        form, G = _payoff_form(spec, probs.shape[1])
+        if form == "column" and G is not None:
+            stacked.setdefault(spec.key(), G)
+    keys = list(stacked)
+    at = slice(None) if row_of is None else row_of
+    for chunk in _column_chunks([stacked[k].shape[1] for k in keys], len(probs)):
+        Gs = [stacked[keys[i]] for i in chunk]
+        prods = _column_products(probs, np.hstack(Gs))
+        ends = np.cumsum([G.shape[1] for G in Gs])
+        for i, G, rows in zip(chunk, Gs, np.split(prods, ends[:-1])):
+            if len(rows) == 1:  # as predicted_utility and realized_utility
+                estimate(keys[i], rows[0], G[:, 0][labels])
+            else:
+                estimate(keys[i], rows.max(axis=0), G[labels, rows.argmax(axis=0)[at]])
+        del prods, rows  # before the next chunk's product
+
+    ranks = None
     for spec in specs:
         key = spec.key()
         if key not in by_key:
             if ranks is None and _FORMS[spec.family][0] == "rank":
                 ranks = _label_ranks(law.pair_points(), labels)
             v = predicted_utility(spec, probs)
-            r = realized_utility(spec, probs, labels, ranks, row_of)
-            if row_of is None:
-                r -= v
-            else:
-                r -= v[row_of]
-                r = np.bincount(row_of, weights=law.counts * r, minlength=len(probs))
-            spread, interval, sign = _worst_interval(v, r)
-            by_key[key] = UcEstimate(spread / law.n, interval, sign)
-        out.append(by_key[key])
-    return out
+            estimate(key, v, realized_utility(spec, probs, labels, ranks, row_of))
+    return [by_key[spec.key()] for spec in specs]
 
 
 def uc_hat_oracle(preds: LabeledPredictions, spec: UtilitySpec) -> float:

@@ -67,8 +67,11 @@ class PatchRecord:
     step: float
 
     def __post_init__(self) -> None:
-        if not self.lo <= self.hi:  # NaN fails too
-            raise DomainError(f"witness interval [{self.lo}, {self.hi}] needs lo <= hi")
+        # NaN fails too; an infinite end would mask rows no fit observed
+        if not -math.inf < self.lo <= self.hi < math.inf:
+            raise DomainError(
+                f"witness interval [{self.lo}, {self.hi}] needs finite lo <= hi"
+            )
         if self.sign not in (-1, 1):
             raise DomainError(f"sign must be -1 or +1, got {self.sign}")
         if not 0.0 < self.step <= MAX_STEP:

@@ -1,6 +1,7 @@
 """Regenerate the golden CLI outputs under ``tests/golden/``.
 
     PYTHONPATH=src python tests/golden/regen.py
+    PYTHONPATH=src python tests/golden/regen.py --diff
 
 The input is a small deterministic dataset (n=200, C=6; the last 40 rows
 repeat earlier rows, so tie-merging is exercised) and one utility JSON per
@@ -10,12 +11,22 @@ output files go to ``tests/golden/expected/``, and ``tests/test_golden.py``
 reruns the same commands and compares each file byte for byte.  Regenerate
 only for a deliberate output change, and say in the commit why the bytes
 moved.
+
+``--diff`` writes nothing under ``tests/golden/``: it runs the commands into
+a temporary directory and prints, for each output that differs from its
+golden, how many numbers moved and the largest relative change.  It exits 1
+on any change that is not a float moving: a spec or its parameters, a sign,
+a label, a count, a record or row added or lost.
 """
 
 from __future__ import annotations
 
+import argparse
+import csv
 import json
 import os
+import sys
+import tempfile
 
 import numpy as np
 
@@ -133,7 +144,91 @@ def write_inputs() -> None:
             fh.write("\n")
 
 
-if __name__ == "__main__":
+# JSON keys whose numbers are utility parameters: a moved float below one is
+# a different utility, not a rounding change.
+SPEC_KEYS = ("spec", "utilities")
+
+
+def _parse(path: str):
+    """A golden's values: parsed JSON, or a CSV's rows of cells, each cell an
+    int (written without a point or exponent), a float, or a string."""
+    with open(path, encoding="utf-8") as fh:
+        if path.endswith(".json"):
+            return json.load(fh)
+        rows = list(csv.reader(fh))
+
+    def cell(text: str):
+        for kind in (int, float):
+            try:
+                return kind(text)
+            except ValueError:
+                pass
+        return text
+
+    return [[cell(text) for text in row] for row in rows]
+
+
+def _moved_floats(want, got, where: str, spec: bool, moved: list) -> None:
+    """Walk two parsed outputs side by side and append (old, new) for each
+    float that moved; raise ValueError at the first change that is not a
+    float moving outside a spec."""
+    if isinstance(want, float) and isinstance(got, float) and not spec:
+        if want.hex() != got.hex():
+            moved.append((want, got))
+    elif isinstance(want, dict) and isinstance(got, dict) and want.keys() == got.keys():
+        for k in want:
+            _moved_floats(want[k], got[k], f"{where}.{k}", spec or k in SPEC_KEYS, moved)
+    elif isinstance(want, list) and isinstance(got, list) and len(want) == len(got):
+        for i, (w, g) in enumerate(zip(want, got)):
+            _moved_floats(w, g, f"{where}[{i}]", spec, moved)
+    elif type(want) is not type(got) or want != got:
+        raise ValueError(f"{where}: {want!r} became {got!r}")
+
+
+def diff(out_dir: str) -> int:
+    """Compare every output in ``out_dir`` with its golden and print what
+    moved; 1 when a change is not a float moving, else 0."""
+    status, lines = 0, []
+    for _, files in RUNS.values():
+        for name in files:
+            want_path, got_path = os.path.join(EXPECTED, name), os.path.join(out_dir, name)
+            with open(want_path, "rb") as a, open(got_path, "rb") as b:
+                if a.read() == b.read():
+                    continue
+            moved: list[tuple[float, float]] = []
+            try:
+                _moved_floats(_parse(want_path), _parse(got_path), name, False, moved)
+                if not moved:
+                    raise ValueError(f"{name}: bytes differ, values do not")
+            except ValueError as exc:
+                status = 1
+                lines.append(f"{name}: NOT A FLOAT CHANGE at {exc}")
+                continue
+            largest = max(
+                abs(g - w) / max(abs(w), abs(g)) if w or g else 0.0 for w, g in moved
+            )
+            lines.append(
+                f"{name}: {len(moved)} numbers moved, largest relative change {largest:.2e}"
+            )
+    print("\n".join(lines) if lines else "no golden moved")
+    return status
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--diff", action="store_true",
+        help="report how the outputs differ from the goldens; write nothing",
+    )
+    if parser.parse_args(argv).diff:
+        with tempfile.TemporaryDirectory() as out:
+            run_all(out)
+            return diff(out)
     write_inputs()
     os.makedirs(EXPECTED, exist_ok=True)
     run_all(EXPECTED)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -377,6 +377,26 @@ class TestPatchCmds:
         assert not (tmp_path / "o.csv").exists()
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "lo, hi", [("-1e400", "0.9"), ("0.2", "1e400"), ("-1e400", "1e400"),
+                   (str(-10**400), "0.9")],
+        ids=["lo", "hi", "both", "lo-integer"],
+    )
+    def test_apply_infinite_interval_bound_exit_2(self, tmp_path, two_point_files,
+                                                  capsys, lo, hi):
+        # JSON reads 1e400 as inf; such a record would move every row
+        seq_path = tmp_path / "seq.json"
+        seq_path.write_text(
+            '{"C": 3, "records": [{"spec": {"family": "top_class"}, '
+            f'"lo": {lo}, "hi": {hi}, "sign": 1, "step": 2.0}}]}}'
+        )
+        rc = main(["patch-apply", str(seq_path),
+                   "--preds", two_point_files["preds"],
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert not (tmp_path / "o.csv").exists()
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
     def test_apply_impossible_history_exit_2(self, tmp_path, two_point_files, capsys):
         # no fit writes a history entry without a record, a NaN err or a
         # Brier score outside [0, 2]

@@ -39,6 +39,7 @@ from utilcal import (
 )
 from utilcal import estimators
 from utilcal.dataset import load_labels_csv, load_predictions_csv
+from utilcal.ecdf import ecdf_evaluate
 from utilcal.estimators import (
     brier_matrix,
     distinct_rows,
@@ -286,12 +287,17 @@ class TestUcHatPool:
 
     def test_each_distinct_utility_evaluated_once(self, monkeypatch):
         d = random_preds(np.random.default_rng(3), 100, 5)
-        calls = {"predicted": 0, "ranks": 0}
+        calls = {"predicted": 0, "products": 0, "ranks": 0}
         predicted, label_ranks = estimators.predicted_utility, estimators._label_ranks
+        products = estimators._column_products
 
         def count_predicted(spec, probs):
             calls["predicted"] += 1
             return predicted(spec, probs)
+
+        def count_products(probs, G):
+            calls["products"] += 1
+            return products(probs, G)
 
         def count_ranks(probs, labels):
             calls["ranks"] += 1
@@ -299,12 +305,14 @@ class TestUcHatPool:
 
         monkeypatch.setattr(estimators, "predicted_utility", count_predicted)
         monkeypatch.setattr(estimators, "_label_ranks", count_ranks)
+        monkeypatch.setattr(estimators, "_column_products", count_products)
         a = np.linspace(-1.0, 1.0, 5)
         pool = comb_pool(5) + dcg_pool() + comb_pool(5) + [
             UtilitySpec.linear(a), UtilitySpec.linear(a.copy()),
         ]
         got = uc_hat_pool(d, pool)
-        assert calls == {"predicted": 10 + 6 + 1, "ranks": 1}
+        # the linear member is one stacked product, not a predicted_utility call
+        assert calls == {"predicted": 10 + 6, "products": 1, "ranks": 1}
         assert got[0] is got[16] and got[-1] is got[-2]
 
     def test_no_rank_pass_without_rank_families(self, monkeypatch):
@@ -334,6 +342,161 @@ class TestUcHatPool:
         probs = np.array([[1e308, -1e308], [1e308, -1e308], [0.5, 0.5]])
         with pytest.raises(ValidationError, match=r"\[-1, 2\]"):
             LabeledPredictions(probs, np.array([1, 1, 0]))
+
+
+def estimate_bytes(est):
+    return np.array([est.value, *est.interval, est.sign]).tobytes()
+
+
+def matrix_pool(C, rng):
+    """linear, decision and gain_matrix members, widths 1, 1, 1, 2, 1, C, 1, 1, 4."""
+    return [
+        sample_linear(C, rng), sample_linear(C, rng), sample_linear(C, rng),
+        sample_decision(C, 2, rng), sample_linear(C, rng), gain_matrix_aligned(C, rng),
+        sample_linear(C, rng), sample_linear(C, rng), sample_decision(C, 4, rng),
+    ]
+
+
+class TestStackedProducts:
+    """A pool's matrix-payoff members share one tiled product per chunk;
+    no member's bits may depend on the rest of the pool or the chunking."""
+
+    @pytest.mark.parametrize("C", [2, 10, 100, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 4095, 4097, 8193])
+    def test_pool_member_matches_alone_bitwise(self, n, C):
+        rng = np.random.default_rng((n, C))
+        d = random_preds(rng, n, C)
+        pool = matrix_pool(C, rng) + [UtilitySpec.top_class(), UtilitySpec.dcg(1.0)]
+        for spec, est in zip(pool, uc_hat_pool(d, pool)):
+            assert estimate_bytes(est) == estimate_bytes(uc_hat(d, spec)), spec.family
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_chunking_keeps_every_bit(self, monkeypatch, width):
+        rng = np.random.default_rng(width)
+        C = 10
+        pool = matrix_pool(C, rng)
+        continuous = random_preds(rng, 4097, C)
+        tied, _ = gen_calibrated(3001, C, support_size=20, seed=width)
+        for d in (continuous, tied):
+            whole = [estimate_bytes(e) for e in uc_hat_pool(d, pool)]
+            S = len(group_sample(d).points)
+            calls = []
+            products = estimators._column_products
+            monkeypatch.setattr(estimators, "_CHUNK_ELEMENTS", width * S)
+            monkeypatch.setattr(
+                estimators, "_column_products", lambda p, G: calls.append(1) or products(p, G)
+            )
+            got = [estimate_bytes(e) for e in uc_hat_pool(d, pool)]
+            monkeypatch.undo()
+            # widths 1,1,1,2,1,10,1,1,4 in chunks of at most `width` columns
+            assert len(calls) == {1: 9, 2: 7, 3: 5}[width]
+            assert got == whole
+
+    def test_chunks_hold_whole_tiles(self, monkeypatch):
+        tile = estimators._TILE
+        monkeypatch.setattr(estimators, "_CHUNK_ELEMENTS", (2 * tile + 5) * 1000)
+        chunks = estimators._column_chunks([1] * (3 * tile), 1000)
+        assert [len(c) for c in chunks] == [2 * tile, tile]
+        assert estimators._column_chunks([3 * tile, 1], 1000) == [range(0, 1), range(1, 2)]
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_matrix_member_realized_from_its_own_product(self, monkeypatch, tied):
+        # a decision or gain_matrix member's v and realized argmax come from
+        # one product: the pool calls neither per-utility pass, and scores
+        # the v and residual that predicted_utility and realized_utility give
+        rng = np.random.default_rng(9)
+        C = 100
+        if tied:
+            d, _ = gen_calibrated(2003, C, support_size=30, seed=9)
+        else:
+            d = random_preds(rng, 2003, C)
+        pool = [sample_decision(C, 3, rng), gain_matrix_aligned(C, rng),
+                sample_decision(C, 2, rng)]
+        scored, shapes = [], []
+        worst, products = estimators._worst_interval, estimators._column_products
+
+        def record_scored(v, r):
+            scored.append((v.copy(), r.copy()))
+            return worst(v, r)
+
+        def record_product(probs, G):
+            shapes.append(G.shape)
+            return products(probs, G)
+
+        monkeypatch.setattr(estimators, "_worst_interval", record_scored)
+        monkeypatch.setattr(estimators, "_column_products", record_product)
+        monkeypatch.setattr(estimators, "predicted_utility", None)
+        monkeypatch.setattr(estimators, "realized_utility", None)
+        uc_hat_pool(d, pool)
+        monkeypatch.undo()
+        assert shapes == [(C, 3 + C + 2)]
+        law = group_sample(d)
+        for spec, (v, r) in zip(pool, scored):
+            want_v = predicted_utility(spec, law.points)
+            want_r = realized_utility(spec, law.points, law.labels, row_of=law.row_of)
+            if tied:
+                want_r -= want_v[law.row_of]
+                want_r = np.bincount(law.row_of, law.counts * want_r, len(law.points))
+            else:
+                want_r -= want_v
+            assert v.tobytes() == want_v.tobytes()
+            assert r.tobytes() == want_r.tobytes()
+
+    def test_witness_mask_is_the_estimators_interval(self, monkeypatch):
+        # continuous rows, witnesses drawn by augmentation: each step's mask,
+        # from predicted_utility of the witness alone, is exactly the points
+        # whose v in the stacked pool lies in the witness interval
+        from utilcal import patching
+
+        C = 100
+        d = random_preds(np.random.default_rng(11), 2003, C)
+        seen, steps = [], []
+        worst, find = estimators._worst_interval, patching.find_worst_witness
+        apply = patching._apply_record_rows
+
+        def record_scored(v, r):
+            out = worst(v, r)
+            seen.append((v.copy(), out))
+            return out
+
+        def record_witness(law, pool):
+            seen.clear()
+            spec, est = find(law, pool)
+            vs = [v for v, (spread, interval, sign) in seen
+                  if (spread / law.n, interval, sign) == (est.value, est.interval, est.sign)]
+            steps.append((spec, est, vs))
+            return spec, est
+
+        def record_move(probs, rec, mask, uvec):
+            steps[-1] += (mask,)
+            return apply(probs, rec, mask, uvec)
+
+        monkeypatch.setattr(estimators, "_worst_interval", record_scored)
+        monkeypatch.setattr(patching, "find_worst_witness", record_witness)
+        monkeypatch.setattr(patching, "_apply_record_rows", record_move)
+        seq = patching.fit(d, pool=[UtilitySpec.top_class()], epsilon=1e-3, max_iters=12,
+                           augment_count=6, augment_seed=1)
+        monkeypatch.undo()
+        assert len(seq.records) == 12
+        families = [spec.family for spec, *_ in steps]
+        assert families.count("linear") >= 3
+        for spec, est, vs, mask in steps:
+            lo, hi = est.interval
+            assert vs
+            for v in vs:
+                assert np.array_equal(mask, (v >= lo) & (v <= hi))
+
+    def test_pool_memory_is_bounded(self):
+        # 200 linear utilities at n = 50 000: their whole n x 200 stack of v
+        # would take 80 MB; one chunk at a time stays near the budget
+        d = random_preds(np.random.default_rng(7), 50_000, 10)
+        tracemalloc.start()
+        try:
+            ecdf_evaluate(d, "linear", 200, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < estimators._CHUNK_ELEMENTS * 8 + 16 * d.n * 8
 
 
 def per_row_uc(d, spec):
@@ -371,8 +534,9 @@ class TestDistinctRows:
             assert abs(uc_hat(d, spec).value - uc_hat_oracle(d, spec)) <= 1e-12
 
     def test_continuous_inputs_keep_their_bytes(self):
-        # sha256 of the estimates the per-row estimator gave before rows
-        # were grouped; every row here is distinct
+        # sha256 of the estimates on rows that are all distinct, which no
+        # grouping may move; the linear members' bits are those of
+        # _column_products' tiled matrix product
         h = hashlib.sha256()
         for seed in range(3):
             rng = np.random.default_rng(seed)
@@ -387,7 +551,7 @@ class TestDistinctRows:
                     rows = [[e.value, *e.interval, e.sign] for e in uc_hat_pool(dd, pp)]
                     h.update(np.array(rows).tobytes())
         assert h.hexdigest() == (
-            "1b7ba59114b132f9f8e19f9d8829f51d29dab4063c551f8231b4a8cc83c0bcbc"
+            "efceaf3d9587be39839c43b687cd9ff294c52ea068d31c12d4b4c41f1ffe3d16"
         )
 
     def test_distinct_input_is_returned_uncopied(self):
@@ -575,8 +739,8 @@ class TestInvariances:
             assert np.array([a.value, *a.interval]).tobytes() == np.array(
                 [b.value, *b.interval]
             ).tobytes()
-        # n not a multiple of 4: a matrix-vector product rounds a row by
-        # its position, so equal rows are evaluated once each, not per row
+        # n not a multiple of 4: equal rows are evaluated once each, not
+        # per row, so no matrix product can round them apart by position
         for n in (2001, 2002, 2003):
             for C in (10, 100):
                 dup, _ = gen_calibrated(n, C, 20, seed=n)
@@ -593,6 +757,26 @@ class TestInvariances:
         assert tce_binned(d, BinScheme("equal-width", 15)) == tce_binned(
             d2, BinScheme("equal-width", 15)
         )
+
+    @pytest.mark.parametrize(
+        "scan, C, case",
+        [(0, 10, 14), (0, 100, 101), (0, 100, 128), (0, 100, 155), (1, 10, 113),
+         (1, 100, 10), (1, 100, 65)],
+    )
+    def test_row_permutation_bitwise_on_continuous_rows(self, scan, C, case):
+        # cases of a seeded scan (200 per C and scan, n = 2001-2003, pools of
+        # four linear utilities) whose output bits moved under a row
+        # permutation when each v was its own matrix-vector product
+        rng = np.random.default_rng((scan, C, case))
+        n = 2001 + case % 3
+        e = -np.log1p(-rng.random((n, C)))
+        probs = e / e.sum(axis=1, keepdims=True)
+        labels = rng.integers(0, C, size=n)
+        pool = [sample_linear(C, rng) for _ in range(4)]
+        perm = rng.permutation(n)
+        a = uc_hat_pool(LabeledPredictions(probs, labels), pool)
+        b = uc_hat_pool(LabeledPredictions(probs[perm], labels[perm]), pool)
+        assert [estimate_bytes(e) for e in a] == [estimate_bytes(e) for e in b]
 
     def test_class_relabeling_equivariance(self):
         rng = np.random.default_rng(8)

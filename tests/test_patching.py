@@ -192,6 +192,15 @@ class TestApplyPatch:
         with pytest.raises(DomainError, match="lo <= hi"):
             PatchRecord(UtilitySpec.top_class(), lo, hi, 1, 0.1)
 
+    @pytest.mark.parametrize(
+        "lo, hi", [(-math.inf, 0.9), (0.1, math.inf), (-math.inf, math.inf),
+                   (math.inf, math.inf), (-math.inf, -math.inf)]
+    )
+    def test_infinite_interval_bound_rejected(self, lo, hi):
+        # no fit writes an unobserved end, and [-inf, inf] would move every row
+        with pytest.raises(DomainError, match="finite lo <= hi"):
+            PatchRecord(UtilitySpec.top_class(), lo, hi, 1, 2.0)
+
 
 class TestFit:
     def test_already_calibrated_stops_immediately(self):
