@@ -38,8 +38,13 @@ from .utilities import (
 #             a C x K matrix G; None stands for the C x C identity;
 #   "unit":   uvec(p) = e_c, so v = p_c: the one-column form with G = e_c,
 #             read as column c of p instead of computed as p @ e_c;
-#   "rank":   uvec(p)_j = theta[rank of class j in p - 1], ranks under (-p_j, j);
+#   "rank":   uvec(p)_j = theta[rank of class j in p - 1], ranks under (-p_j, j),
+#             so v = sort(p, descending) @ theta; top_k's theta is 1{r <= k};
 #   "dense":  uvec(p) = p @ S.
+# The "column" form's matrices and the "rank" form's thetas go through the
+# tiled product of _column_products, the thetas on sorted row blocks: a pool
+# reads each row block once per tile of members, and a lone member pays a
+# whole tile.
 # family -> (form, builder of G, c, theta or S from (spec, C))
 _FORMS = {
     "top_class": ("column", lambda spec, C: None),
@@ -61,17 +66,6 @@ def _payoff_form(spec: UtilitySpec, C: int) -> tuple[str, np.ndarray | int | Non
     return form, build(spec, C)
 
 
-def _label_ranks(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """1-based rank of each row's true class under (-p_j, j) ordering,
-    without sorting whole rows."""
-    n, C = probs.shape
-    p_label = probs[np.arange(n), labels]
-    greater = (probs > p_label[:, None]).sum(axis=1)
-    cols = np.arange(C)
-    tied_before = ((probs == p_label[:, None]) & (cols < labels[:, None])).sum(axis=1)
-    return greater + tied_before + 1
-
-
 # Each matrix product in _column_products multiplies at most _ROW_BLOCK rows
 # by exactly _TILE columns: a wider tile costs a lone member more work, a
 # narrower one costs a pool more calls per row block.
@@ -82,7 +76,33 @@ _TILE = 32
 _CHUNK_ELEMENTS = 1 << 22
 
 
-def _column_products(probs: np.ndarray, G: np.ndarray) -> np.ndarray:
+def _row_blocks(n: int) -> list[int]:
+    """Bounds of the fewest blocks of at most _ROW_BLOCK rows that cover n
+    rows, as even as possible, so no block is a lone row unless n is 1."""
+    blocks = -(-n // _ROW_BLOCK)
+    return [n * b // blocks for b in range(blocks + 1)]
+
+
+def _label_ranks(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """1-based rank of each row's true class under (-p_j, j) ordering,
+    without sorting whole rows; one row block at a time, so the comparisons
+    take block-sized temporaries."""
+    C = probs.shape[1]
+    cols = np.arange(C)
+    bounds = _row_blocks(len(probs))
+    ranks = np.empty(len(probs), dtype=np.int64)
+    for lo, hi in zip(bounds, bounds[1:]):
+        block, y = probs[lo:hi], labels[lo:hi, None]
+        p_label = np.take_along_axis(block, y, axis=1)
+        ranks[lo:hi] = (block > p_label).sum(axis=1)
+        ranks[lo:hi] += ((block == p_label) & (cols < y)).sum(axis=1)
+    ranks += 1
+    return ranks
+
+
+def _column_products(
+    probs: np.ndarray, G: np.ndarray, sort_rows: bool = False
+) -> np.ndarray:
     """The K columns of ``probs @ G`` as the rows of a K x n array, so each
     column is contiguous.
 
@@ -93,34 +113,50 @@ def _column_products(probs: np.ndarray, G: np.ndarray) -> np.ndarray:
     last bits.  With one shape per row block, a column's bits do not depend
     on which other columns share its product or where it sits among them,
     so a pool member gets the bits it gets alone.  A row's bits may still
-    depend on the block it falls in.  The blocks are as even as possible,
-    so no block is a lone row, which numpy would send to its
-    matrix-vector path.
+    depend on the block it falls in.  The blocks are as even as possible
+    (:func:`_row_blocks`), so no block is a lone row, which numpy would
+    send to its matrix-vector path.
+
+    With ``sort_rows`` each row block is first sorted ascending into one
+    reused buffer and G's rows are taken in reverse, so column k is
+    ``sort(p, descending) @ G[:, k]``: the "rank" form's v, one sort per
+    block for every tile.  The terms of zero entries of G are exact zeros,
+    so top_k(1)'s column is exactly the row maximum.
     """
     n = len(probs)
     C, K = G.shape
     padded = np.zeros((C, -(-K // _TILE) * _TILE))
-    padded[:, :K] = G
+    padded[:, :K] = G[::-1] if sort_rows else G
     # contiguous tiles, so every call passes BLAS the same layout
     tiles = [np.ascontiguousarray(padded[:, t : t + _TILE]) for t in range(0, K, _TILE)]
     out = np.empty((K, n))
-    blocks = -(-n // _ROW_BLOCK)
-    bounds = [n * b // blocks for b in range(blocks + 1)]
+    bounds = _row_blocks(n)
+    if sort_rows:
+        buf = np.empty((min(n, _ROW_BLOCK), C))
     for lo, hi in zip(bounds, bounds[1:]):
         block = probs[lo:hi]
+        if sort_rows:
+            block = buf[: hi - lo]
+            block[...] = probs[lo:hi]
+            block.sort(axis=1)
         for t, tile in zip(range(0, K, _TILE), tiles):
             w = min(_TILE, K - t)
             out[t : t + w, lo:hi] = (block @ tile)[:, :w].T
     return out
 
 
+def _chunk_columns(n: int) -> int:
+    """Columns of n values that one chunk of _CHUNK_ELEMENTS holds, in
+    whole tiles when one fits, and at least one."""
+    cap = max(1, _CHUNK_ELEMENTS // n)
+    return cap - cap % _TILE if cap > _TILE else cap
+
+
 def _column_chunks(widths: Sequence[int], n: int) -> list[range]:
     """Runs of consecutive members whose stacked columns form one chunk of
     at most _CHUNK_ELEMENTS values at n rows, in whole tiles when one fits;
     a member wider than that is a chunk of its own."""
-    cap = max(1, _CHUNK_ELEMENTS // n)
-    if cap > _TILE:
-        cap -= cap % _TILE
+    cap = _chunk_columns(n)
     chunks, start, width = [], 0, 0
     for i, w in enumerate(widths):
         if i > start and width + w > cap:
@@ -137,10 +173,6 @@ def predicted_utility(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
     probs = np.asarray(probs, dtype=np.float64)
     n, C = probs.shape
     form, param = _payoff_form(spec, C)
-    if spec.family == "top_k":  # a partial sort instead of the full row sort
-        if spec.k == C:
-            return probs.sum(axis=1)
-        return np.partition(probs, C - spec.k, axis=1)[:, C - spec.k :].sum(axis=1)
     if form == "column":
         if param is None:
             return probs.max(axis=1)
@@ -149,7 +181,7 @@ def predicted_utility(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
     if form == "unit":  # + 0.0 reads a -0.0 entry as 0.0, as p @ e_c does
         return probs[:, param] + 0.0
     if form == "rank":
-        return np.sort(probs, axis=1)[:, ::-1] @ param
+        return _column_products(probs, param[:, None], sort_rows=True)[0]
     return np.einsum("ij,ij->i", probs, probs @ param)
 
 
@@ -157,17 +189,13 @@ def realized_utility(
     spec: UtilitySpec,
     probs: np.ndarray,
     labels: np.ndarray,
-    ranks: np.ndarray | None = None,
     row_of: np.ndarray | None = None,
 ) -> np.ndarray:
     """Realized payoff u(p_i, e_{label_i}) for every row.
 
     ``row_of``, when given, pairs label i with row ``row_of[i]`` of
     ``probs`` instead of row i, so a row's argmax or payoff vector is
-    computed once however many labels it is paired with.  ``ranks`` may
-    pass in the label ranks of those pairs (``_label_ranks(probs, labels)``
-    without ``row_of``), which the "rank" form reads, so a pool of such
-    utilities computes them once.
+    computed once however many labels it is paired with.
     """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -182,9 +210,7 @@ def realized_utility(
     if form == "unit":
         return (labels == param).astype(np.float64)
     if form == "rank":
-        if ranks is None:
-            ranks = _label_ranks(probs[at], labels)
-        return param[ranks - 1]
+        return param[_label_ranks(probs[at], labels) - 1]
     if row_of is None:
         row_of = np.arange(len(labels))
     return (probs @ param)[row_of, labels]
@@ -210,8 +236,15 @@ def payoff_matrix(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
         out[:, param] = 1.0
         return out
     if form == "rank":  # theta[r - 1] goes to the class ranked r
+        order = np.argsort(-probs, axis=1)
+        # the default sort may order equal entries (-0.0 and 0.0 too) either
+        # way; only the rows that hold them need the stable (-p_j, j) order
+        ranked = np.sort(probs, axis=1)
+        tied = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+        del ranked
+        if tied.any():
+            order[tied] = np.argsort(-probs[tied], axis=1, kind="stable")
         out = np.empty((n, C))
-        order = np.argsort(-probs, axis=1, kind="stable")
         np.put_along_axis(out, order, np.broadcast_to(param, (n, C)), axis=1)
         return out
     return probs @ param
@@ -447,11 +480,15 @@ def uc_hat_pool(
     ``decision``, ``gain_matrix``) are stacked into one matrix product per
     chunk of columns (:func:`_column_chunks`, :func:`_column_products`), so
     the rows are read once per chunk rather than once per member; a K-column
-    member's v and realized argmax come from the same product.  The
-    true-class label ranks, which the realized utility of every top_k, rank
-    and dcg member reads, are computed once per call.  An estimate does not
-    depend on the rest of the pool or on the chunking, so it is
-    bit-identical to :func:`uc_hat` of its utility alone.
+    member's v and realized argmax come from the same product.  The rank
+    members (``top_k``, ``rank``, ``dcg``) have v = sort(p, descending) @
+    theta: their thetas go through the same tiled product on sorted row
+    blocks, one tile of members per pass, so each row block is sorted once
+    per tile and no sorted copy of the rows or stack of every rank member's
+    v is held.  Their realized payoffs read the true-class label ranks,
+    computed once per call.  An estimate does not depend on the rest of the
+    pool or on the chunking, so it is bit-identical to :func:`uc_hat` of
+    its utility alone.
     """
     law = data if isinstance(data, GroupedSample) else group_sample(data)
     probs, row_of, labels = law.points, law.row_of, law.labels
@@ -470,10 +507,13 @@ def uc_hat_pool(
         by_key[key] = UcEstimate(spread / law.n, interval, sign)
 
     stacked: dict[tuple, np.ndarray] = {}
+    thetas: dict[tuple, np.ndarray] = {}
     for spec in specs:
         form, G = _payoff_form(spec, probs.shape[1])
         if form == "column" and G is not None:
             stacked.setdefault(spec.key(), G)
+        elif form == "rank":
+            thetas.setdefault(spec.key(), G)
     keys = list(stacked)
     at = slice(None) if row_of is None else row_of
     for chunk in _column_chunks([stacked[k].shape[1] for k in keys], len(probs)):
@@ -487,14 +527,26 @@ def uc_hat_pool(
                 estimate(keys[i], rows.max(axis=0), G[labels, rows.argmax(axis=0)[at]])
         del prods, rows  # before the next chunk's product
 
-    ranks = None
+    if thetas:
+        index = _label_ranks(law.pair_points(), labels) - 1
+        keys = list(thetas)
+        # one tile per pass: re-sorting a row block per tile costs less
+        # than holding every rank member's v
+        width = min(_TILE, _chunk_columns(len(probs)))
+        for t in range(0, len(keys), width):
+            part = keys[t : t + width]
+            prods = _column_products(
+                probs, np.column_stack([thetas[k] for k in part]), sort_rows=True
+            )
+            for key, v in zip(part, prods):
+                estimate(key, v, thetas[key][index])
+            del prods, v  # before the next tile's product
+
     for spec in specs:
         key = spec.key()
         if key not in by_key:
-            if ranks is None and _FORMS[spec.family][0] == "rank":
-                ranks = _label_ranks(law.pair_points(), labels)
             v = predicted_utility(spec, probs)
-            estimate(key, v, realized_utility(spec, probs, labels, ranks, row_of))
+            estimate(key, v, realized_utility(spec, probs, labels, row_of))
     return [by_key[spec.key()] for spec in specs]
 
 

@@ -69,6 +69,15 @@ class TestEcdfEvaluate:
         b = ecdf_evaluate(d, "linear", M=40, seed=7, threads=3)
         assert np.array_equal(a.errors, b.errors)
 
+    def test_rank_bytes_independent_of_thread_count(self):
+        # each worker's pool is its own share of the utilities, so a rank
+        # utility shares its sorted-row tile with other members per count
+        rng = np.random.default_rng(5)
+        e = -np.log1p(-rng.random((5003, 20)))
+        d = LabeledPredictions(e / e.sum(axis=1, keepdims=True), rng.integers(0, 20, 5003))
+        runs = [ecdf_evaluate(d, "rank", M=45, seed=3, threads=t).errors for t in (1, 2, 3)]
+        assert all(r.tobytes() == runs[0].tobytes() for r in runs)
+
     @pytest.mark.parametrize(
         "threads, M, cores, workers",
         [(8, 5, 2, 2), (8, 3, 16, 3), (3, 5, 16, 3), (4, 5, None, None),

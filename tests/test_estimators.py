@@ -171,6 +171,32 @@ class TestFamilyForms:
             v = predicted_utility(UtilitySpec.class_wise(c), probs)
             assert v.tobytes() == (probs @ np.eye(3)[c]).tobytes()
 
+    @pytest.mark.parametrize("C", [2, 7, 100])
+    def test_rank_payoff_is_the_stable_sort_bytes(self, C):
+        # the default argsort, re-sorted stably on rows with tied entries
+        # (-0.0 == 0.0 among them), places theta as the (-p_j, j) order does
+        rng = np.random.default_rng(C)
+        probs = np.vstack([
+            tied_signed_rows(rng, 300, C),
+            np.full((5, C), 1.0 / C),
+            random_preds(rng, 100, C).probs,
+        ])
+        order = np.argsort(-probs, axis=1, kind="stable")
+        for spec in (UtilitySpec.top_k(C // 2 + 1), sample_rank(C, rng), UtilitySpec.dcg(1.0)):
+            want = np.empty_like(probs)
+            theta = estimators._payoff_form(spec, C)[1]
+            np.put_along_axis(want, order, np.broadcast_to(theta, probs.shape), axis=1)
+            assert payoff_matrix(spec, probs).tobytes() == want.tobytes()
+
+    def test_label_ranks_follow_the_stable_sort_across_row_blocks(self):
+        rng = np.random.default_rng(13)
+        n, C = 8193, 10
+        probs = tied_signed_rows(rng, n, C)
+        labels = rng.integers(0, C, size=n)
+        order = np.argsort(-probs, axis=1, kind="stable")
+        want = np.argmax(order == labels[:, None], axis=1) + 1
+        assert np.array_equal(estimators._label_ranks(probs, labels), want)
+
 
 class TestUcHat:
     def test_two_point_value_and_witness(self):
@@ -295,9 +321,9 @@ class TestUcHatPool:
             calls["predicted"] += 1
             return predicted(spec, probs)
 
-        def count_products(probs, G):
+        def count_products(probs, G, **kw):
             calls["products"] += 1
-            return products(probs, G)
+            return products(probs, G, **kw)
 
         def count_ranks(probs, labels):
             calls["ranks"] += 1
@@ -311,8 +337,9 @@ class TestUcHatPool:
             UtilitySpec.linear(a), UtilitySpec.linear(a.copy()),
         ]
         got = uc_hat_pool(d, pool)
-        # the linear member is one stacked product, not a predicted_utility call
-        assert calls == {"predicted": 10 + 6, "products": 1, "ranks": 1}
+        # the linear member is one stacked product and the 5 top_k plus 6 dcg
+        # members one sorted-row product; only class_wise calls predicted_utility
+        assert calls == {"predicted": 5, "products": 2, "ranks": 1}
         assert got[0] is got[16] and got[-1] is got[-2]
 
     def test_no_rank_pass_without_rank_families(self, monkeypatch):
@@ -357,24 +384,46 @@ def matrix_pool(C, rng):
     ]
 
 
+def rank_pool(C, rng):
+    """top_k for every k (a spread of k, 1 and C among them, beyond C = 100),
+    a sampled rank and two dcg members."""
+    ks = range(1, C + 1) if C <= 100 else sorted({1, 2, 31, 32, 33, C // 2, C - 1, C})
+    return [UtilitySpec.top_k(k) for k in ks] + [
+        sample_rank(C, rng), UtilitySpec.dcg(1.0), UtilitySpec.dcg(0.5),
+    ]
+
+
+def tied_signed_rows(rng, n, C):
+    """Simplex rows where every third row has a tied maximum, and the others
+    hold 0.0 or -0.0 entries (both signs at once when C > 2)."""
+    e = -np.log1p(-rng.random((n, C)))
+    e[::3, -1] = e[::3].max(axis=1)
+    e[1::3, 0] = 0.0
+    e[2::3, 0] = -0.0
+    if C > 2:
+        e[2::3, 1] = 0.0
+    return e / e.sum(axis=1, keepdims=True)
+
+
 class TestStackedProducts:
-    """A pool's matrix-payoff members share one tiled product per chunk;
-    no member's bits may depend on the rest of the pool or the chunking."""
+    """A pool's matrix-payoff members share one tiled product per chunk, and
+    its rank members one tiled product on sorted rows per tile; no member's
+    bits may depend on the rest of the pool or the chunking."""
 
     @pytest.mark.parametrize("C", [2, 10, 100, 1000])
     @pytest.mark.parametrize("n", [1, 2, 4095, 4097, 8193])
     def test_pool_member_matches_alone_bitwise(self, n, C):
         rng = np.random.default_rng((n, C))
         d = random_preds(rng, n, C)
-        pool = matrix_pool(C, rng) + [UtilitySpec.top_class(), UtilitySpec.dcg(1.0)]
+        pool = matrix_pool(C, rng) + [UtilitySpec.top_class()] + rank_pool(C, rng)
         for spec, est in zip(pool, uc_hat_pool(d, pool)):
-            assert estimate_bytes(est) == estimate_bytes(uc_hat(d, spec)), spec.family
+            assert estimate_bytes(est) == estimate_bytes(uc_hat(d, spec)), spec.label()
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_chunking_keeps_every_bit(self, monkeypatch, width):
         rng = np.random.default_rng(width)
         C = 10
-        pool = matrix_pool(C, rng)
+        pool = matrix_pool(C, rng) + rank_pool(C, rng)
         continuous = random_preds(rng, 4097, C)
         tied, _ = gen_calibrated(3001, C, support_size=20, seed=width)
         for d in (continuous, tied):
@@ -384,13 +433,34 @@ class TestStackedProducts:
             products = estimators._column_products
             monkeypatch.setattr(estimators, "_CHUNK_ELEMENTS", width * S)
             monkeypatch.setattr(
-                estimators, "_column_products", lambda p, G: calls.append(1) or products(p, G)
+                estimators,
+                "_column_products",
+                lambda p, G, **kw: calls.append(1) or products(p, G, **kw),
             )
             got = [estimate_bytes(e) for e in uc_hat_pool(d, pool)]
             monkeypatch.undo()
-            # widths 1,1,1,2,1,10,1,1,4 in chunks of at most `width` columns
-            assert len(calls) == {1: 9, 2: 7, 3: 5}[width]
+            # widths 1,1,1,2,1,10,1,1,4 in chunks of at most `width` columns,
+            # then 13 rank members in tiles of `width`
+            assert len(calls) == {1: 9 + 13, 2: 7 + 7, 3: 5 + 5}[width]
             assert got == whole
+
+    @pytest.mark.parametrize("C", [2, 10, 100, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 4095, 4097, 8193])
+    def test_top_k_1_is_the_row_max(self, monkeypatch, n, C):
+        # alone and in a pool's sorted-row product, with tied maxima and
+        # signed zeros: the tile's zero rows add exact zeros to the maximum
+        rng = np.random.default_rng((n, C, 1))
+        probs = tied_signed_rows(rng, n, C)
+        v = predicted_utility(UtilitySpec.top_k(1), probs)
+        assert v.tobytes() == probs.max(axis=1).tobytes()
+        d = LabeledPredictions(probs, rng.integers(0, C, size=n))
+        scored, worst = [], estimators._worst_interval
+        monkeypatch.setattr(
+            estimators, "_worst_interval", lambda v, r: scored.append(v.copy()) or worst(v, r)
+        )
+        uc_hat_pool(d, [UtilitySpec.dcg(1.0), UtilitySpec.top_k(1), UtilitySpec.top_k(C)])
+        monkeypatch.undo()
+        assert scored[1].tobytes() == group_sample(d).points.max(axis=1).tobytes()
 
     def test_chunks_hold_whole_tiles(self, monkeypatch):
         tile = estimators._TILE
@@ -498,6 +568,26 @@ class TestStackedProducts:
             tracemalloc.stop()
         assert peak < estimators._CHUNK_ELEMENTS * 8 + 16 * d.n * 8
 
+    def test_rank_pool_memory_is_bounded(self):
+        # 42 rank members at n = 50 000, C = 200: the pass holds one tile of
+        # v, one sorted row block and O(n) vectors, never a sorted or
+        # partitioned n x C copy of the rows (80 MB)
+        rng = np.random.default_rng(8)
+        n, C = 50_000, 200
+        d = random_preds(rng, n, C)
+        pool = [UtilitySpec.top_k(k) for k in range(1, 41)] + [
+            UtilitySpec.dcg(1.0), sample_rank(C, rng),
+        ]
+        tracemalloc.start()
+        try:
+            uc_hat_pool(d, pool)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tile = estimators._TILE * n * 8
+        block = estimators._ROW_BLOCK * C * 8
+        assert peak < tile + block + 16 * n * 8 < n * C * 8
+
 
 def per_row_uc(d, spec):
     """The per-row estimator: one contribution u_i - v_i per row."""
@@ -535,8 +625,8 @@ class TestDistinctRows:
 
     def test_continuous_inputs_keep_their_bytes(self):
         # sha256 of the estimates on rows that are all distinct, which no
-        # grouping may move; the linear members' bits are those of
-        # _column_products' tiled matrix product
+        # grouping may move; the linear and rank members' bits are those of
+        # _column_products' tiled matrix product, on sorted rows for rank
         h = hashlib.sha256()
         for seed in range(3):
             rng = np.random.default_rng(seed)
@@ -551,7 +641,7 @@ class TestDistinctRows:
                     rows = [[e.value, *e.interval, e.sign] for e in uc_hat_pool(dd, pp)]
                     h.update(np.array(rows).tobytes())
         assert h.hexdigest() == (
-            "efceaf3d9587be39839c43b687cd9ff294c52ea068d31c12d4b4c41f1ffe3d16"
+            "8a688b2b1c6469a2f84a37b002a85c8bbffc8038419c94d09408156a41c3857d"
         )
 
     def test_distinct_input_is_returned_uncopied(self):
@@ -776,6 +866,21 @@ class TestInvariances:
         perm = rng.permutation(n)
         a = uc_hat_pool(LabeledPredictions(probs, labels), pool)
         b = uc_hat_pool(LabeledPredictions(probs[perm], labels[perm]), pool)
+        assert [estimate_bytes(e) for e in a] == [estimate_bytes(e) for e in b]
+
+    @pytest.mark.parametrize("C", [10, 100])
+    @pytest.mark.parametrize("n", [2003, 8193])
+    def test_rank_pool_row_permutation_bitwise_on_continuous_rows(self, n, C):
+        # a permutation moves rows between the sorted row blocks of the
+        # rank members' tiled product; no estimate may move a bit
+        rng = np.random.default_rng((n, C, 2))
+        d = random_preds(rng, n, C)
+        pool = [UtilitySpec.top_k(k) for k in (1, 2, 3, C // 2, C)] + [
+            sample_rank(C, rng), sample_rank(C, rng), UtilitySpec.dcg(0.75),
+        ]
+        perm = rng.permutation(n)
+        a = uc_hat_pool(d, pool)
+        b = uc_hat_pool(LabeledPredictions(d.probs[perm], d.labels[perm]), pool)
         assert [estimate_bytes(e) for e in a] == [estimate_bytes(e) for e in b]
 
     def test_class_relabeling_equivariance(self):

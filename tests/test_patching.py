@@ -151,6 +151,20 @@ class TestFindWorstWitness:
         assert best is first
         assert est == uc_hat(d, first)
 
+    def test_earliest_member_wins_an_exact_tie(self):
+        # class 0 leads every row, so class_wise(0), top_k(1) and top_class
+        # predict the same v and realize the same payoff: an exact tie
+        rng = np.random.default_rng(4)
+        e = -np.log1p(-rng.random((500, 4)))
+        e[:, 0] = e.max(axis=1) + 0.5
+        d = LabeledPredictions(e / e.sum(axis=1, keepdims=True), rng.integers(0, 4, 500))
+        tied = [UtilitySpec.class_wise(0), UtilitySpec.top_k(1), UtilitySpec.top_class()]
+        est = uc_hat(d, tied[0])
+        assert est.value > 0 and all(uc_hat(d, s) == est for s in tied)
+        for first in range(3):
+            pool = tied[first:] + tied[:first]
+            assert find_worst_witness(d, pool)[0] is pool[0]
+
     def test_empty_pool(self):
         with pytest.raises(DomainError):
             find_worst_witness(perfect_predictor(), [])
@@ -467,6 +481,47 @@ class TestFit:
     def test_bad_config_rejected(self, config):
         with pytest.raises(ConfigError):
             fit(perfect_predictor(), **config)
+
+
+# The witness and sign of every record in the 20 fits of acceptance
+# criterion 07 ("k" top_k, "c" class_wise), as written before the rank
+# members shared one sorted-row product.  Exact class_wise/top_k(1) ties
+# reach these fits, so a v that moves by one bit can flip a witness.
+ACCEPTANCE_07_WITNESSES = [
+    "k1+ c2+ c0- k2- c0- k2- k2-",
+    "k4+ k2+ k6+ c7- k2- c0- k1- k4+ k5+ k5- c2+",
+    "k1+ c0+ k1+ c0+",
+    "k3+ k5+ k5+ k4+ c1- c0- k2- k3+ k4- k6- k1- k2+ k6- k3- c0+ k3-",
+    "k1+ k1+ c0+ c1+ c0- k2- k2-",
+    "k4+ k3+ k3- k1+ k3- k2- k4+ k4- c6- k5- c1- k6- k6-",
+    "c1+ c1+ k2-",
+    "k3+ k7+ c4- k1+ k7+ k4- c7- k4- c1+",
+    "k1+ k2+ k2+ c0+ c1+ k1- k2+ k2+ k2- k2-",
+    "k4+ c9- k6+ k2+ c9- c4- k2- k8+ k8+ c3- k2- k4+ k5- k1- k3+",
+    "c2+ c0- c0- k1+ k1- k2+ k2+ k2- c0-",
+    "k5+ k2+ k1+ k6- c7- k4+ k4- k5- k9+ c4+ k5- k7+",
+    "c2- k1+ c2- k2+ k2+ c2- c2- c0+ c1- c1+ c1- c2- c2+ c1-",
+    "k4+ k6+ k2+ k8+ c0- c2- c1- c3- k2-",
+    "c1- c1- c1- c0+ c1-",
+    "k6+ k7+ k8+ k8+ k2+ k6- c6- k2+ c5- k2- k1+ k2- c9- k4+",
+    "k1+ c2+ c1- k2- k1+ k2- c0- c0- c0- c0+",
+    "k6+ k1+ c4- k6+ c6- k4+ k1- c5+",
+    "k1+ c2- c0+ c0+ k2- c2-",
+    "k5+ k6+ k1+ c8- k6+ k5+ k2- k2- c9- k2+ k6-",
+]
+
+
+@pytest.mark.parametrize("i", range(20))
+def test_acceptance_07_fits_keep_their_witnesses(i):
+    C = 3 if i % 2 == 0 else 10
+    dist = random_dist(derive_rng(500, i), 4, C)
+    d, _ = gen_miscalibrated(dist, 5000, seed=i)
+    seq = fit(d, epsilon=0.05)
+    got = " ".join(
+        (f"k{r.spec.k}" if r.spec.family == "top_k" else f"c{r.spec.c}") + "+-"[r.sign < 0]
+        for r in seq.records
+    )
+    assert got == ACCEPTANCE_07_WITNESSES[i]
 
 
 class TestTransform:
