@@ -115,7 +115,8 @@ def _column_products(
     so a pool member gets the bits it gets alone.  A row's bits may still
     depend on the block it falls in.  The blocks are as even as possible
     (:func:`_row_blocks`), so no block is a lone row, which numpy would
-    send to its matrix-vector path.
+    send to its matrix-vector path.  Every product is written into one
+    reused block-by-tile buffer, so a pass allocates no temporary per call.
 
     With ``sort_rows`` each row block is first sorted ascending into one
     reused buffer and G's rows are taken in reverse, so column k is
@@ -131,8 +132,10 @@ def _column_products(
     tiles = [np.ascontiguousarray(padded[:, t : t + _TILE]) for t in range(0, K, _TILE)]
     out = np.empty((K, n))
     bounds = _row_blocks(n)
+    rows = min(n, _ROW_BLOCK)
+    prod = np.empty((rows, _TILE))
     if sort_rows:
-        buf = np.empty((min(n, _ROW_BLOCK), C))
+        buf = np.empty((rows, C))
     for lo, hi in zip(bounds, bounds[1:]):
         block = probs[lo:hi]
         if sort_rows:
@@ -141,7 +144,8 @@ def _column_products(
             block.sort(axis=1)
         for t, tile in zip(range(0, K, _TILE), tiles):
             w = min(_TILE, K - t)
-            out[t : t + w, lo:hi] = (block @ tile)[:, :w].T
+            np.matmul(block, tile, out=prod[: hi - lo])
+            out[t : t + w, lo:hi] = prod[: hi - lo, :w].T
     return out
 
 
@@ -236,15 +240,8 @@ def payoff_matrix(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
         out[:, param] = 1.0
         return out
     if form == "rank":  # theta[r - 1] goes to the class ranked r
-        order = np.argsort(-probs, axis=1)
-        # the default sort may order equal entries (-0.0 and 0.0 too) either
-        # way; only the rows that hold them need the stable (-p_j, j) order
-        ranked = np.sort(probs, axis=1)
-        tied = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
-        del ranked
-        if tied.any():
-            order[tied] = np.argsort(-probs[tied], axis=1, kind="stable")
         out = np.empty((n, C))
+        order = np.argsort(-probs, axis=1, kind="stable")
         np.put_along_axis(out, order, np.broadcast_to(param, (n, C)), axis=1)
         return out
     return probs @ param

@@ -173,15 +173,15 @@ class TestFamilyForms:
 
     @pytest.mark.parametrize("C", [2, 7, 100])
     def test_rank_payoff_is_the_stable_sort_bytes(self, C):
-        # the default argsort, re-sorted stably on rows with tied entries
-        # (-0.0 == 0.0 among them), places theta as the (-p_j, j) order does
+        # theta goes to the classes in (-p_j, j) order: tied entries
+        # (-0.0 == 0.0 among them) in column order
         rng = np.random.default_rng(C)
         probs = np.vstack([
             tied_signed_rows(rng, 300, C),
             np.full((5, C), 1.0 / C),
             random_preds(rng, 100, C).probs,
         ])
-        order = np.argsort(-probs, axis=1, kind="stable")
+        order = np.lexsort((np.broadcast_to(np.arange(C), probs.shape), -probs), axis=1)
         for spec in (UtilitySpec.top_k(C // 2 + 1), sample_rank(C, rng), UtilitySpec.dcg(1.0)):
             want = np.empty_like(probs)
             theta = estimators._payoff_form(spec, C)[1]
@@ -570,8 +570,8 @@ class TestStackedProducts:
 
     def test_rank_pool_memory_is_bounded(self):
         # 42 rank members at n = 50 000, C = 200: the pass holds one tile of
-        # v, one sorted row block and O(n) vectors, never a sorted or
-        # partitioned n x C copy of the rows (80 MB)
+        # v, one sorted row block, one block-by-tile product and O(n)
+        # vectors, never a sorted or partitioned n x C copy of the rows (80 MB)
         rng = np.random.default_rng(8)
         n, C = 50_000, 200
         d = random_preds(rng, n, C)
@@ -586,7 +586,8 @@ class TestStackedProducts:
             tracemalloc.stop()
         tile = estimators._TILE * n * 8
         block = estimators._ROW_BLOCK * C * 8
-        assert peak < tile + block + 16 * n * 8 < n * C * 8
+        product = estimators._ROW_BLOCK * estimators._TILE * 8
+        assert peak < tile + block + product + 16 * n * 8 < n * C * 8
 
 
 def per_row_uc(d, spec):
