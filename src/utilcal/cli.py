@@ -9,24 +9,24 @@ utilcal error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-
-import numpy as np
 
 from . import dataset, ecdf, estimators, patching
 from .errors import DomainError, ParseError, UtilcalError
 from .utilities import FAMILY_PARAMS, SAMPLERS, UtilitySpec, comb_pool, dcg_pool, load_utility_json
 
 
-def _load_preds(args) -> dataset.LabeledPredictions:
+def _validated(args) -> tuple[dataset.LabeledPredictions, dataset.ValidationReport]:
+    """The predictions/labels CSV pair of ``args`` and its validation report."""
     probs = dataset.load_predictions_csv(args.preds, header=args.header)
     labels = dataset.load_labels_csv(args.labels, header=args.header)
     preds = dataset.LabeledPredictions(probs, labels)
-    report = dataset.validate(preds, renormalize=args.renormalize)
-    if report.corrected is not None:
-        return report.corrected
-    return preds
+    return preds, dataset.validate(preds, renormalize=args.renormalize)
+
+
+def _load_preds(args) -> dataset.LabeledPredictions:
+    preds, report = _validated(args)
+    return preds if report.corrected is None else report.corrected
 
 
 def _parse_utility(token: str, C: int) -> list[tuple[str, UtilitySpec]]:
@@ -60,21 +60,11 @@ def _parse_utility(token: str, C: int) -> list[tuple[str, UtilitySpec]]:
     return [(spec.label(), spec)]
 
 
-def _write_json(path: str | None, payload: dict) -> None:
-    if path is None:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        dataset.write_json(path, payload)
-
-
 def cmd_validate(args) -> int:
     if args.out is not None and not args.renormalize:
         raise DomainError("--out needs --renormalize")
-    probs = dataset.load_predictions_csv(args.preds, header=args.header)
-    labels = dataset.load_labels_csv(args.labels, header=args.header)
-    preds = dataset.LabeledPredictions(probs, labels)
-    report = dataset.validate(preds, renormalize=args.renormalize)
-    _write_json(None, report.to_json_dict())
+    report = _validated(args)[1]
+    dataset.write_json(None, report.to_json_dict())
     if args.out is not None:
         dataset.write_predictions_csv(args.out, report.corrected.probs)
     return 0
@@ -96,7 +86,7 @@ def cmd_evaluate(args) -> int:
             seen[name] = 0
         unique.append((name, spec))
     report = estimators.evaluate_metrics(preds, scheme, unique)
-    _write_json(args.out, report.to_json_dict())
+    dataset.write_json(args.out, report.to_json_dict())
     return 0
 
 

@@ -9,6 +9,7 @@ guarantee checks in :mod:`utilcal.estimators` rely on.
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -457,10 +458,15 @@ def read_json(path: str):
             raise ParseError(f"{path}: {exc}") from exc
 
 
-def write_json(path: str, payload) -> None:
-    """``payload`` as UTF-8 JSON indented by 2, with a final newline."""
+def write_json(path: str | None, payload) -> None:
+    """``payload`` as UTF-8 JSON indented by 2, with a final newline; to
+    stdout when ``path`` is None."""
+    text = json.dumps(payload, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+        fh.write(text)
 
 
 def load_distribution_json(path: str) -> FiniteDistribution:

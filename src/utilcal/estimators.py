@@ -13,7 +13,7 @@ once per distinct row, as a finite-support law (:func:`group_sample`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,21 +33,24 @@ from .utilities import (
 
 # --- vectorized utility evaluation ----------------------------------------
 
-# Every family's payoff vector uvec(p) takes one of four forms:
+# Every family's payoff vector uvec(p) takes one of five forms:
 #   "column": uvec(p) = G[:, j*], j* = argmax_j (p @ G)_j (first on ties), for
-#             a C x K matrix G; None stands for the C x C identity;
+#             a C x K matrix G;
+#   "max":    uvec(p) = e_j*, j* = argmax_j p_j (first on ties), so v = max_j p_j:
+#             top_class, the "column" form with G the C x C identity, read
+#             from the rows instead of computed as a product;
 #   "unit":   uvec(p) = e_c, so v = p_c: the one-column form with G = e_c,
 #             read as column c of p instead of computed as p @ e_c;
 #   "rank":   uvec(p)_j = theta[rank of class j in p - 1], ranks under (-p_j, j),
 #             so v = sort(p, descending) @ theta; top_k's theta is 1{r <= k};
 #   "dense":  uvec(p) = p @ S.
-# The "column" form's matrices and the "rank" form's thetas go through the
-# tiled product of _column_products, the thetas on sorted row blocks: a pool
-# reads each row block once per tile of members, and a lone member pays a
-# whole tile.
+# Only _member_payoffs and payoff_matrix branch on the form.  The "column"
+# form's matrices and the "rank" form's thetas go through the tiled product
+# of _column_products, the thetas on sorted row blocks: a pool reads each row
+# block once per tile of members, and a lone member pays a whole tile.
 # family -> (form, builder of G, c, theta or S from (spec, C))
 _FORMS = {
-    "top_class": ("column", lambda spec, C: None),
+    "top_class": ("max", lambda spec, C: None),
     "class_wise": ("unit", lambda spec, C: spec.c),
     "linear": ("column", lambda spec, C: spec.a[:, None]),
     "decision": ("column", lambda spec, C: -spec.loss),
@@ -71,8 +74,9 @@ def _payoff_form(spec: UtilitySpec, C: int) -> tuple[str, np.ndarray | int | Non
 # narrower one costs a pool more calls per row block.
 _ROW_BLOCK = 4096
 _TILE = 32
-# Values in one chunk of a pool's stacked products (32 MiB of float64), so a
-# pool of any size holds about this much v at once.
+# A chunk of a pool's stacked products holds at most one tile of members and
+# at most this many values (32 MiB of float64), so a pool of any size holds
+# little v at once.
 _CHUNK_ELEMENTS = 1 << 22
 
 
@@ -149,18 +153,11 @@ def _column_products(
     return out
 
 
-def _chunk_columns(n: int) -> int:
-    """Columns of n values that one chunk of _CHUNK_ELEMENTS holds, in
-    whole tiles when one fits, and at least one."""
-    cap = max(1, _CHUNK_ELEMENTS // n)
-    return cap - cap % _TILE if cap > _TILE else cap
-
-
 def _column_chunks(widths: Sequence[int], n: int) -> list[range]:
     """Runs of consecutive members whose stacked columns form one chunk of
-    at most _CHUNK_ELEMENTS values at n rows, in whole tiles when one fits;
-    a member wider than that is a chunk of its own."""
-    cap = _chunk_columns(n)
+    at most one tile and at most _CHUNK_ELEMENTS values at n rows; a member
+    wider than that is a chunk of its own."""
+    cap = min(_TILE, max(1, _CHUNK_ELEMENTS // n))
     chunks, start, width = [], 0, 0
     for i, w in enumerate(widths):
         if i > start and width + w > cap:
@@ -172,21 +169,85 @@ def _column_chunks(widths: Sequence[int], n: int) -> list[range]:
     return chunks
 
 
-def predicted_utility(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
-    """Predicted utility v_u for every row of ``probs``."""
+def _member_payoffs(
+    probs: np.ndarray,
+    specs: Iterable[UtilitySpec],
+    labels: np.ndarray | None = None,
+    row_of: np.ndarray | None = None,
+) -> Iterator[tuple[tuple, np.ndarray, np.ndarray | None]]:
+    """``(key, v, u)`` once per distinct utility of ``specs`` (by
+    :meth:`UtilitySpec.key`): the predicted utility v of every row of
+    ``probs`` and, with ``labels``, the realized payoff u(p, e_label) of
+    every label, else None.
+
+    ``row_of``, when given, pairs label i with row ``row_of[i]`` of
+    ``probs`` instead of row i, so a row's argmax or payoff vector is
+    computed once however many labels it is paired with.
+
+    The "column" members, then the "rank" members, are stacked into chunks
+    (:func:`_column_chunks`), each one :func:`_column_products` call, on
+    sorted row blocks for rank, so the rows are read once per chunk rather
+    than once per member.  A K-column member's v and realized argmax come
+    from the same product; the rank members' payoffs read the true-class
+    label ranks, counted once.  A member's bits do not depend on the rest
+    of ``specs`` or on the chunking.  The "max", "unit" and "dense" members
+    follow, one at a time.
+    """
     probs = np.asarray(probs, dtype=np.float64)
     n, C = probs.shape
-    form, param = _payoff_form(spec, C)
-    if form == "column":
-        if param is None:
-            return probs.max(axis=1)
-        prods = _column_products(probs, param)
-        return prods[0] if len(prods) == 1 else prods.max(axis=0)
-    if form == "unit":  # + 0.0 reads a -0.0 entry as 0.0, as p @ e_c does
-        return probs[:, param] + 0.0
-    if form == "rank":
-        return _column_products(probs, param[:, None], sort_rows=True)[0]
-    return np.einsum("ij,ij->i", probs, probs @ param)
+    at = slice(None) if row_of is None else row_of
+    forms: dict[tuple, tuple[str, np.ndarray | int | None]] = {}
+    for spec in specs:
+        forms.setdefault(spec.key(), _payoff_form(spec, C))
+    for stack in ("column", "rank"):
+        # as C x K matrices: a rank member's theta is one column
+        members = [
+            (key, np.reshape(G, (C, -1))) for key, (form, G) in forms.items() if form == stack
+        ]
+        if not members:
+            continue
+        index = labels
+        if stack == "rank" and labels is not None:
+            index = _label_ranks(probs[at], labels) - 1
+        for chunk in _column_chunks([G.shape[1] for _, G in members], n):
+            part = members[chunk.start : chunk.stop]
+            prods = _column_products(
+                probs, np.hstack([G for _, G in part]), sort_rows=stack == "rank"
+            )
+            ends = np.cumsum([G.shape[1] for _, G in part])
+            for (key, G), rows in zip(part, np.split(prods, ends[:-1])):
+                wide = len(rows) > 1
+                if labels is None:
+                    u = None
+                elif wide:
+                    u = G[labels, rows.argmax(axis=0)[at]]
+                else:  # 1-D indexing: a mixed index is twice as slow
+                    u = G[:, 0][index]
+                yield key, rows.max(axis=0) if wide else rows[0], u
+    for key, (form, param) in forms.items():
+        if form == "max":  # the row maximum, read at the first argmax
+            best = probs.argmax(axis=1)
+            v = probs[np.arange(n), best]
+        elif form == "unit":  # + 0.0 reads a -0.0 entry as 0.0, as p @ e_c does
+            v = probs[:, param] + 0.0
+        elif form == "dense":
+            payoffs = probs @ param
+            v = np.einsum("ij,ij->i", probs, payoffs)
+        else:
+            continue
+        if labels is None:
+            u = None
+        elif form == "dense":
+            u = payoffs[np.arange(len(labels)) if row_of is None else row_of, labels]
+        else:  # the one-hot payoff of the "max" and "unit" forms
+            hit = best[at] if form == "max" else param
+            u = (labels == hit).astype(np.float64)
+        yield key, v, u
+
+
+def predicted_utility(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
+    """Predicted utility v_u for every row of ``probs``."""
+    return next(_member_payoffs(probs, [spec]))[1]
 
 
 def realized_utility(
@@ -195,29 +256,11 @@ def realized_utility(
     labels: np.ndarray,
     row_of: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Realized payoff u(p_i, e_{label_i}) for every row.
-
-    ``row_of``, when given, pairs label i with row ``row_of[i]`` of
-    ``probs`` instead of row i, so a row's argmax or payoff vector is
-    computed once however many labels it is paired with.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
+    """Realized payoff u(p_i, e_{label_i}) for every label, label i paired
+    with row ``row_of[i]`` of ``probs`` when ``row_of`` is given (see
+    :func:`_member_payoffs`)."""
     labels = np.asarray(labels, dtype=np.int64)
-    form, param = _payoff_form(spec, probs.shape[1])
-    at = slice(None) if row_of is None else row_of
-    if form == "column":
-        if param is None:
-            return (labels == probs.argmax(axis=1)[at]).astype(np.float64)
-        if param.shape[1] == 1:  # 1-D indexing: a mixed index is twice as slow
-            return param[:, 0][labels]
-        return param[labels, _column_products(probs, param).argmax(axis=0)[at]]
-    if form == "unit":
-        return (labels == param).astype(np.float64)
-    if form == "rank":
-        return param[_label_ranks(probs[at], labels) - 1]
-    if row_of is None:
-        row_of = np.arange(len(labels))
-    return (probs @ param)[row_of, labels]
+    return next(_member_payoffs(probs, [spec], labels, row_of))[2]
 
 
 def payoff_matrix(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
@@ -228,13 +271,13 @@ def payoff_matrix(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
     n, C = probs.shape
     form, param = _payoff_form(spec, C)
     if form == "column":
-        if param is None:
-            out = np.zeros((n, C))
-            out[np.arange(n), probs.argmax(axis=1)] = 1.0
-            return out
         if param.shape[1] == 1:
             return np.broadcast_to(param[:, 0], (n, C)).copy()
         return param[:, _column_products(probs, param).argmax(axis=0)].T
+    if form == "max":
+        out = np.zeros((n, C))
+        out[np.arange(n), probs.argmax(axis=1)] = 1.0
+        return out
     if form == "unit":
         out = np.zeros((n, C))
         out[:, param] = 1.0
@@ -321,8 +364,7 @@ def residuals(
     can give a row different last bits depending on its position.
     """
     points, inverse = distinct_rows(preds.probs)
-    v = predicted_utility(spec, points)
-    u = realized_utility(spec, points, preds.labels, row_of=inverse)
+    _, v, u = next(_member_payoffs(points, [spec], preds.labels, inverse))
     if inverse is not None:
         v = v[inverse]
     return v, u - v
@@ -472,78 +514,24 @@ def uc_hat_pool(
     of the per-row sum, and bit-identical under row permutations.  When
     every row is distinct each row is its own contribution u_i - v_i.
 
-    Each distinct utility (by :meth:`UtilitySpec.key`) is evaluated once and
-    its repeats share the estimate.  The matrix-payoff members (``linear``,
-    ``decision``, ``gain_matrix``) are stacked into one matrix product per
-    chunk of columns (:func:`_column_chunks`, :func:`_column_products`), so
-    the rows are read once per chunk rather than once per member; a K-column
-    member's v and realized argmax come from the same product.  The rank
-    members (``top_k``, ``rank``, ``dcg``) have v = sort(p, descending) @
-    theta: their thetas go through the same tiled product on sorted row
-    blocks, one tile of members per pass, so each row block is sorted once
-    per tile and no sorted copy of the rows or stack of every rank member's
-    v is held.  Their realized payoffs read the true-class label ranks,
-    computed once per call.  An estimate does not depend on the rest of the
+    Each distinct utility (by :meth:`UtilitySpec.key`) is evaluated once, by
+    one :func:`_member_payoffs` pass over the whole pool, and its repeats
+    share the estimate.  An estimate does not depend on the rest of the
     pool or on the chunking, so it is bit-identical to :func:`uc_hat` of
     its utility alone.
     """
     law = data if isinstance(data, GroupedSample) else group_sample(data)
-    probs, row_of, labels = law.points, law.row_of, law.labels
+    row_of = law.row_of
     specs = list(specs)
     by_key: dict[tuple, UcEstimate] = {}
-
-    def estimate(key: tuple, v: np.ndarray, r: np.ndarray) -> None:
-        """Record the estimate of predicted ``v`` and realized payoff ``r``
-        (turned into the residual in place)."""
-        if row_of is None:
+    for key, v, r in _member_payoffs(law.points, specs, law.labels, row_of):
+        if row_of is None:  # r turns from the realized payoff into the residual
             r -= v
         else:
             r -= v[row_of]
-            r = np.bincount(row_of, weights=law.counts * r, minlength=len(probs))
+            r = np.bincount(row_of, weights=law.counts * r, minlength=len(v))
         spread, interval, sign = _worst_interval(v, r)
         by_key[key] = UcEstimate(spread / law.n, interval, sign)
-
-    stacked: dict[tuple, np.ndarray] = {}
-    thetas: dict[tuple, np.ndarray] = {}
-    for spec in specs:
-        form, G = _payoff_form(spec, probs.shape[1])
-        if form == "column" and G is not None:
-            stacked.setdefault(spec.key(), G)
-        elif form == "rank":
-            thetas.setdefault(spec.key(), G)
-    keys = list(stacked)
-    at = slice(None) if row_of is None else row_of
-    for chunk in _column_chunks([stacked[k].shape[1] for k in keys], len(probs)):
-        Gs = [stacked[keys[i]] for i in chunk]
-        prods = _column_products(probs, np.hstack(Gs))
-        ends = np.cumsum([G.shape[1] for G in Gs])
-        for i, G, rows in zip(chunk, Gs, np.split(prods, ends[:-1])):
-            if len(rows) == 1:  # as predicted_utility and realized_utility
-                estimate(keys[i], rows[0], G[:, 0][labels])
-            else:
-                estimate(keys[i], rows.max(axis=0), G[labels, rows.argmax(axis=0)[at]])
-        del prods, rows  # before the next chunk's product
-
-    if thetas:
-        index = _label_ranks(law.pair_points(), labels) - 1
-        keys = list(thetas)
-        # one tile per pass: re-sorting a row block per tile costs less
-        # than holding every rank member's v
-        width = min(_TILE, _chunk_columns(len(probs)))
-        for t in range(0, len(keys), width):
-            part = keys[t : t + width]
-            prods = _column_products(
-                probs, np.column_stack([thetas[k] for k in part]), sort_rows=True
-            )
-            for key, v in zip(part, prods):
-                estimate(key, v, thetas[key][index])
-            del prods, v  # before the next tile's product
-
-    for spec in specs:
-        key = spec.key()
-        if key not in by_key:
-            v = predicted_utility(spec, probs)
-            estimate(key, v, realized_utility(spec, probs, labels, row_of))
     return [by_key[spec.key()] for spec in specs]
 
 
@@ -612,8 +600,7 @@ def _binned_error(
     bit-identical under row permutations and exact when a bin's masses cancel
     by counting (e.g. the two-point construction).
     """
-    v = predicted_utility(spec, preds.probs)
-    u = realized_utility(spec, preds.probs, preds.labels)
+    _, v, u = next(_member_payoffs(preds.probs, [spec], preds.labels))
     order = np.argsort(v)
     vs, us = v[order], u[order]
     edges = scheme._sorted_edges(vs)

@@ -151,6 +151,15 @@ class TestEvaluateCmd:
         assert report["tce_binned"] == 0.0
         assert report["uc"]["top_class"]["value"] == pytest.approx(0.2, abs=1e-12)
 
+    def test_stdout_is_the_bytes_of_out(self, two_point_files, tmp_path, capsys):
+        args = ["evaluate", "--preds", two_point_files["preds"],
+                "--labels", two_point_files["labels"], "--utility", "comb"]
+        out = tmp_path / "report.json"
+        assert main(args + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(args) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
     def test_empty_utility_selection_omits_uc(self, two_point_files, tmp_path):
         out = tmp_path / "report.json"
         main(["evaluate", "--preds", two_point_files["preds"],

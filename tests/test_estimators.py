@@ -313,13 +313,15 @@ class TestUcHatPool:
 
     def test_each_distinct_utility_evaluated_once(self, monkeypatch):
         d = random_preds(np.random.default_rng(3), 100, 5)
-        calls = {"predicted": 0, "products": 0, "ranks": 0}
-        predicted, label_ranks = estimators.predicted_utility, estimators._label_ranks
+        calls = {"products": 0, "ranks": 0}
+        members, label_ranks = estimators._member_payoffs, estimators._label_ranks
         products = estimators._column_products
+        evaluated = []
 
-        def count_predicted(spec, probs):
-            calls["predicted"] += 1
-            return predicted(spec, probs)
+        def record_members(*args):
+            for key, v, u in members(*args):
+                evaluated.append(key)
+                yield key, v, u
 
         def count_products(probs, G, **kw):
             calls["products"] += 1
@@ -329,7 +331,9 @@ class TestUcHatPool:
             calls["ranks"] += 1
             return label_ranks(probs, labels)
 
-        monkeypatch.setattr(estimators, "predicted_utility", count_predicted)
+        monkeypatch.setattr(estimators, "_member_payoffs", record_members)
+        monkeypatch.setattr(estimators, "predicted_utility", None)
+        monkeypatch.setattr(estimators, "realized_utility", None)
         monkeypatch.setattr(estimators, "_label_ranks", count_ranks)
         monkeypatch.setattr(estimators, "_column_products", count_products)
         a = np.linspace(-1.0, 1.0, 5)
@@ -337,9 +341,11 @@ class TestUcHatPool:
             UtilitySpec.linear(a), UtilitySpec.linear(a.copy()),
         ]
         got = uc_hat_pool(d, pool)
-        # the linear member is one stacked product and the 5 top_k plus 6 dcg
-        # members one sorted-row product; only class_wise calls predicted_utility
-        assert calls == {"predicted": 5, "products": 2, "ranks": 1}
+        # one evaluator pass: the linear member is one stacked product, the
+        # 5 top_k plus 6 dcg members one sorted-row product, and the 5
+        # class_wise members are read from their columns
+        assert calls == {"products": 2, "ranks": 1}
+        assert len(evaluated) == len(set(evaluated)) == 5 + 5 + 6 + 1
         assert got[0] is got[16] and got[-1] is got[-2]
 
     def test_no_rank_pass_without_rank_families(self, monkeypatch):
@@ -453,6 +459,9 @@ class TestStackedProducts:
         probs = tied_signed_rows(rng, n, C)
         v = predicted_utility(UtilitySpec.top_k(1), probs)
         assert v.tobytes() == probs.max(axis=1).tobytes()
+        # top_class reads the maximum at the first argmax: the same bits
+        v = predicted_utility(UtilitySpec.top_class(), probs)
+        assert v.tobytes() == probs.max(axis=1).tobytes()
         d = LabeledPredictions(probs, rng.integers(0, C, size=n))
         scored, worst = [], estimators._worst_interval
         monkeypatch.setattr(
@@ -462,18 +471,39 @@ class TestStackedProducts:
         monkeypatch.undo()
         assert scored[1].tobytes() == group_sample(d).points.max(axis=1).tobytes()
 
-    def test_chunks_hold_whole_tiles(self, monkeypatch):
+    def test_chunks_hold_at_most_one_tile(self, monkeypatch):
         tile = estimators._TILE
-        monkeypatch.setattr(estimators, "_CHUNK_ELEMENTS", (2 * tile + 5) * 1000)
-        chunks = estimators._column_chunks([1] * (3 * tile), 1000)
-        assert [len(c) for c in chunks] == [2 * tile, tile]
+        chunks = estimators._column_chunks([1] * (3 * tile + 1), 1000)
+        assert [len(c) for c in chunks] == [tile, tile, tile, 1]
         assert estimators._column_chunks([3 * tile, 1], 1000) == [range(0, 1), range(1, 2)]
+        monkeypatch.setattr(estimators, "_CHUNK_ELEMENTS", 5 * 1000)
+        assert [len(c) for c in estimators._column_chunks([1] * 12, 1000)] == [5, 5, 2]
+
+    def test_linear_pool_takes_one_tile_per_product(self, monkeypatch):
+        # 200 one-column members on 20 distinct rows: ceil(200 / 32) = 7
+        # products of one tile each, every estimate the bits of it alone
+        rng = np.random.default_rng(12)
+        C = 10
+        d, _ = gen_calibrated(5000, C, support_size=20, seed=12)
+        assert len(group_sample(d).points) == 20
+        pool = [sample_linear(C, rng) for _ in range(200)]
+        shapes, products = [], estimators._column_products
+        monkeypatch.setattr(
+            estimators,
+            "_column_products",
+            lambda p, G, **kw: shapes.append(G.shape) or products(p, G, **kw),
+        )
+        got = uc_hat_pool(d, pool)
+        monkeypatch.undo()
+        assert shapes == [(C, estimators._TILE)] * 6 + [(C, 200 - 6 * estimators._TILE)]
+        for spec, est in zip(pool, got):
+            assert estimate_bytes(est) == estimate_bytes(uc_hat(d, spec))
 
     @pytest.mark.parametrize("tied", [False, True])
     def test_matrix_member_realized_from_its_own_product(self, monkeypatch, tied):
         # a decision or gain_matrix member's v and realized argmax come from
-        # one product: the pool calls neither per-utility pass, and scores
-        # the v and residual that predicted_utility and realized_utility give
+        # its own chunk's product: the pool calls neither predicted_utility
+        # nor realized_utility, and scores the v and residual that they give
         rng = np.random.default_rng(9)
         C = 100
         if tied:
@@ -489,9 +519,9 @@ class TestStackedProducts:
             scored.append((v.copy(), r.copy()))
             return worst(v, r)
 
-        def record_product(probs, G):
+        def record_product(probs, G, **kw):
             shapes.append(G.shape)
-            return products(probs, G)
+            return products(probs, G, **kw)
 
         monkeypatch.setattr(estimators, "_worst_interval", record_scored)
         monkeypatch.setattr(estimators, "_column_products", record_product)
@@ -499,7 +529,7 @@ class TestStackedProducts:
         monkeypatch.setattr(estimators, "realized_utility", None)
         uc_hat_pool(d, pool)
         monkeypatch.undo()
-        assert shapes == [(C, 3 + C + 2)]
+        assert shapes == [(C, 3), (C, C), (C, 2)]
         law = group_sample(d)
         for spec, (v, r) in zip(pool, scored):
             want_v = predicted_utility(spec, law.points)
