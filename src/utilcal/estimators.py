@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dataset import FiniteDistribution, LabeledPredictions
+from .dataset import FiniteDistribution, LabeledPredictions, _uniform_simplex
 from .errors import DomainError, GuardError
 from .utilities import (
     UtilitySpec,
@@ -224,6 +224,7 @@ def _member_payoffs(
                 else:  # 1-D indexing: a mixed index is twice as slow
                     u = G[:, 0][index]
                 yield key, rows.max(axis=0) if wide else rows[0], u
+            del prods, rows  # unless a caller holds a v of it, the chunk goes now
     for key, (form, param) in forms.items():
         if form == "max":  # the row maximum, read at the first argmax
             best = probs.argmax(axis=1)
@@ -498,6 +499,27 @@ def group_sample(preds: LabeledPredictions) -> GroupedSample:
     return GroupedSample(points, row_of, labels, counts.astype(np.float64), preds.n)
 
 
+def _pool_estimates(
+    data: LabeledPredictions | GroupedSample, specs: Iterable[UtilitySpec]
+) -> Iterator[tuple[tuple, np.ndarray, UcEstimate]]:
+    """``(key, v, estimate)`` once per distinct utility of ``specs`` (by
+    :meth:`UtilitySpec.key`), in the order :func:`_member_payoffs` yields
+    them: v is the utility's predicted utility on the law's points, the
+    estimate its :func:`uc_hat_pool` entry.  v may be a view of a stacked
+    chunk, so a caller that keeps it past the next item copies it."""
+    law = data if isinstance(data, GroupedSample) else group_sample(data)
+    row_of = law.row_of
+    for key, v, r in _member_payoffs(law.points, specs, law.labels, row_of):
+        if row_of is None:  # r turns from the realized payoff into the residual
+            r -= v
+        else:
+            r -= v[row_of]
+            r = np.bincount(row_of, weights=law.counts * r, minlength=len(v))
+        spread, interval, sign = _worst_interval(v, r)
+        yield key, v, UcEstimate(spread / law.n, interval, sign)
+        del v  # a view of its chunk: not held while the next one is computed
+
+
 def uc_hat_pool(
     data: LabeledPredictions | GroupedSample, specs: Iterable[UtilitySpec]
 ) -> list[UcEstimate]:
@@ -515,23 +537,13 @@ def uc_hat_pool(
     every row is distinct each row is its own contribution u_i - v_i.
 
     Each distinct utility (by :meth:`UtilitySpec.key`) is evaluated once, by
-    one :func:`_member_payoffs` pass over the whole pool, and its repeats
-    share the estimate.  An estimate does not depend on the rest of the
-    pool or on the chunking, so it is bit-identical to :func:`uc_hat` of
-    its utility alone.
+    one :func:`_member_payoffs` pass over the whole pool
+    (:func:`_pool_estimates`), and its repeats share the estimate.  An
+    estimate does not depend on the rest of the pool or on the chunking, so
+    it is bit-identical to :func:`uc_hat` of its utility alone.
     """
-    law = data if isinstance(data, GroupedSample) else group_sample(data)
-    row_of = law.row_of
     specs = list(specs)
-    by_key: dict[tuple, UcEstimate] = {}
-    for key, v, r in _member_payoffs(law.points, specs, law.labels, row_of):
-        if row_of is None:  # r turns from the realized payoff into the residual
-            r -= v
-        else:
-            r -= v[row_of]
-            r = np.bincount(row_of, weights=law.counts * r, minlength=len(v))
-        spread, interval, sign = _worst_interval(v, r)
-        by_key[key] = UcEstimate(spread / law.n, interval, sign)
+    by_key = {key: est for key, _, est in _pool_estimates(data, specs)}
     return [by_key[spec.key()] for spec in specs]
 
 
@@ -573,6 +585,23 @@ class BinScheme:
     def edges(self, values: np.ndarray) -> np.ndarray:
         return self._sorted_edges(np.sort(np.asarray(values, dtype=np.float64)))
 
+    def _bin_of(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Bin of each value of ``x`` under the edges of the ascending values
+        ``s``: ``searchsorted(edges, x, "right") - 1`` clipped to the bins.
+
+        Equal-width edges are not built.  ``np.linspace`` puts edge j < m at
+        j * (1/m) and edge m at 1.0, so x's bin is the largest j < m with
+        j * (1/m) <= x (0 if none): floor(x * m) is within one of it."""
+        if self.kind == "equal-width":
+            m = self.m
+            step = 1.0 / m
+            j = np.clip(np.floor(x * m), 0, m - 1)
+            j[(j > 0) & (j * step > x)] -= 1
+            j[(j + 1 < m) & ((j + 1) * step <= x)] += 1
+            return j.astype(np.int64)
+        edges = self._sorted_edges(s)
+        return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(edges) - 2)
+
     def _sorted_edges(self, s: np.ndarray) -> np.ndarray:
         """:meth:`edges` of the values ``s``, already in ascending order."""
         if self.kind == "equal-width":
@@ -603,19 +632,15 @@ def _binned_error(
     _, v, u = next(_member_payoffs(preds.probs, [spec], preds.labels))
     order = np.argsort(v)
     vs, us = v[order], u[order]
-    edges = scheme._sorted_edges(vs)
-    n_bins = len(edges) - 1
     starts = np.flatnonzero(np.concatenate(([True], vs[1:] != vs[:-1])))
-    group_bin = np.searchsorted(edges, vs[starts], side="right") - 1
-    group_bin = np.clip(group_bin, 0, n_bins - 1)  # each distinct v once
+    group_bin = scheme._bin_of(vs, vs[starts])  # each distinct v once
     bin_starts = np.flatnonzero(
         np.concatenate(([True], group_bin[1:] != group_bin[:-1]))
     )
     counts = np.diff(np.append(starts, len(vs)))
-    gaps = np.zeros(n_bins)
-    gaps[group_bin[bin_starts]] = np.add.reduceat(
-        vs[starts] * counts, bin_starts
-    ) - np.add.reduceat(us, starts[bin_starts])
+    gaps = np.add.reduceat(vs[starts] * counts, bin_starts) - np.add.reduceat(
+        us, starts[bin_starts]
+    )  # the occupied bins only
     return float(np.abs(gaps).sum())
 
 
@@ -840,11 +865,8 @@ def random_instance(
     estimator-vs-oracle trials."""
     n = int(rng.integers(1, n_max + 1))
     C = int(rng.integers(2, c_max + 1))
-    u = rng.random((n, C))
-    e = -np.log1p(-u)
-    probs = e / e.sum(axis=1, keepdims=True)
-    labels = rng.integers(0, C, size=n)
-    preds = LabeledPredictions(probs, labels)
+    probs = _uniform_simplex(rng, (n, C))
+    preds = LabeledPredictions(probs, rng.integers(0, C, size=n))
 
     fam = rng.integers(9)
     if fam == 0:

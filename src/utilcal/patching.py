@@ -32,12 +32,12 @@ from .errors import ConfigError, DomainError, ParseError
 from .estimators import (
     GroupedSample,
     UcEstimate,
+    _pool_estimates,
     brier_matrix,
     distinct_rows,
     group_sample,
     payoff_matrix,
     predicted_utility,
-    uc_hat_pool,
 )
 from .utilities import (
     SAMPLERS, UtilitySpec, as_float, as_int, comb_pool, derive_rng, sample_utility
@@ -179,36 +179,54 @@ class PatchSequence:
         return cls.from_json_dict(read_json(path))
 
 
+def _worst_member(
+    data: LabeledPredictions | GroupedSample, pool: Sequence[UtilitySpec]
+) -> tuple[UtilitySpec, UcEstimate, np.ndarray]:
+    """``(spec, estimate, v)`` of the pool member with the largest
+    worst-interval error, the earliest pool index winning ties, from one
+    :func:`_pool_estimates` pass; v is the member's predicted utility on the
+    law's points, copied out of its stacked chunk so that no chunk outlives
+    the pass."""
+    if not pool:
+        raise DomainError("witness pool is empty")
+    first: dict[tuple, int] = {}
+    for i, spec in enumerate(pool):
+        first.setdefault(spec.key(), i)
+    best = None
+    for key, v, est in _pool_estimates(data, pool):
+        i = first[key]
+        if best is None or (est.value, -i) > (best[1].value, -best[0]):
+            best = i, est, v.copy()
+        del v  # a view of its chunk: not held while the next one is computed
+    i, est, v = best
+    return pool[i], est, v
+
+
 def find_worst_witness(
     data: LabeledPredictions | GroupedSample, pool: Sequence[UtilitySpec]
 ) -> tuple[UtilitySpec, UcEstimate]:
     """The pool member with the largest worst-interval error, and its
     estimate; the earliest index wins ties.
 
-    The pool goes through one :func:`uc_hat_pool` call: each distinct utility
-    is evaluated once and the label ranks are shared by every rank-based
-    utility.  The estimate's sign is that of the realized-minus-predicted
+    The pool goes through one pass (:func:`_worst_member`), as in
+    :func:`uc_hat_pool`: each distinct utility is evaluated once and the
+    label ranks are shared by every rank-based utility.  The estimate's sign is that of the realized-minus-predicted
     residual; a patch step descends on predicted-minus-realized, so its
     record takes the opposite sign.
     """
-    if not pool:
-        raise DomainError("witness pool is empty")
-    estimates = uc_hat_pool(data, pool)
-    best = max(range(len(pool)), key=lambda i: estimates[i].value)  # first max
-    return pool[best], estimates[best]
+    return _worst_member(data, pool)[:2]
 
 
 def _masked_payoff(
-    points: np.ndarray, spec: UtilitySpec, lo: float, hi: float
+    points: np.ndarray, v: np.ndarray, spec: UtilitySpec, lo: float, hi: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the points whose predicted utility lies in [lo, hi], and the
-    payoff vectors of those points.
+    """Mask of the points whose predicted utility ``v`` lies in [lo, hi], and
+    the payoff vectors of ``spec`` at those points.
 
-    The points are distinct rows, in the order :func:`uc_hat_pool` computes
-    v in, so the mask agrees with the estimator's blocks and equal rows get
-    the same move.
+    The points are distinct rows, so equal rows get the same move.  ``fit``
+    passes the v its witness pass computed, in the order the estimator's
+    blocks were built from; ``transform`` passes :func:`predicted_utility`.
     """
-    v = predicted_utility(spec, points)
     hit = (v >= lo) & (v <= hi)
     return hit, payoff_matrix(spec, points[hit])
 
@@ -254,7 +272,9 @@ def fit(
     step * err and at least err^2/C.  D > 0: a step is taken only when
     err > epsilon > 0, the witness interval's ends are observed v values so
     some row is masked, and a masked payoff entry reaches err/2 in size.
-    One mask and payoff pass serves both the step and the move.
+    The mask reads the witness's v from the pool pass that chose it, so a
+    step evaluates no utility beyond that pass, and one mask and payoff
+    pass serves both the step and the move.
 
     ``cal`` is grouped once (:func:`group_sample`).  Every step estimates,
     masks, sizes and moves its distinct points, which equal rows share, so
@@ -298,12 +318,12 @@ def fit(
         for j in range(augment_count):
             fam = families[j % len(families)]
             pool_t.append(sample_utility(fam, C, derive_rng(augment_seed, t, j)))
-        spec, est = find_worst_witness(law, pool_t)
+        spec, est, v = _worst_member(law, pool_t)
         err = est.value
         if err <= epsilon:
             break
         lo, hi = est.interval
-        hit, uvec = _masked_payoff(law.points, spec, lo, hi)
+        hit, uvec = _masked_payoff(law.points, v, spec, lo, hi)
         w = weight[hit]
         D = float(np.sort(w * np.sum(uvec * uvec, axis=1)).sum() / w.sum())
         rec = PatchRecord(spec, lo, hi, -est.sign, min(err / D, MAX_STEP))
@@ -343,6 +363,8 @@ def transform(data, seq: PatchSequence):
     points, inverse = distinct_rows(probs)
     del probs
     for rec in seq.records:
-        hit, uvec = _masked_payoff(points, rec.spec, rec.lo, rec.hi)
+        hit, uvec = _masked_payoff(
+            points, predicted_utility(rec.spec, points), rec.spec, rec.lo, rec.hi
+        )
         points = _apply_record_rows(points, rec, hit, uvec)
     return points if inverse is None else points[inverse]

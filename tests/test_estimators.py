@@ -543,15 +543,16 @@ class TestStackedProducts:
             assert r.tobytes() == want_r.tobytes()
 
     def test_witness_mask_is_the_estimators_interval(self, monkeypatch):
-        # continuous rows, witnesses drawn by augmentation: each step's mask,
-        # from predicted_utility of the witness alone, is exactly the points
-        # whose v in the stacked pool lies in the witness interval
+        # continuous rows, witnesses drawn by augmentation: each step's mask
+        # is exactly the points whose v in the stacked pool lies in the
+        # witness interval, and the v the mask reads is bitwise
+        # predicted_utility of the witness alone
         from utilcal import patching
 
         C = 100
         d = random_preds(np.random.default_rng(11), 2003, C)
         seen, steps = [], []
-        worst, find = estimators._worst_interval, patching.find_worst_witness
+        worst, find = estimators._worst_interval, patching._worst_member
         apply = patching._apply_record_rows
 
         def record_scored(v, r):
@@ -561,18 +562,19 @@ class TestStackedProducts:
 
         def record_witness(law, pool):
             seen.clear()
-            spec, est = find(law, pool)
+            spec, est, v = find(law, pool)
             vs = [v for v, (spread, interval, sign) in seen
                   if (spread / law.n, interval, sign) == (est.value, est.interval, est.sign)]
+            assert v.tobytes() == predicted_utility(spec, law.points).tobytes()
             steps.append((spec, est, vs))
-            return spec, est
+            return spec, est, v
 
         def record_move(probs, rec, mask, uvec):
             steps[-1] += (mask,)
             return apply(probs, rec, mask, uvec)
 
         monkeypatch.setattr(estimators, "_worst_interval", record_scored)
-        monkeypatch.setattr(patching, "find_worst_witness", record_witness)
+        monkeypatch.setattr(patching, "_worst_member", record_witness)
         monkeypatch.setattr(patching, "_apply_record_rows", record_move)
         seq = patching.fit(d, pool=[UtilitySpec.top_class()], epsilon=1e-3, max_iters=12,
                            augment_count=6, augment_seed=1)
@@ -988,7 +990,8 @@ class TestBinnedBaselines:
             idx = np.clip(
                 np.searchsorted(edges, values, side="right") - 1, 0, len(edges) - 2
             )
-            return np.abs(gap_sums(idx, values, hits, len(edges) - 1)).sum()
+            # the occupied bins, in order: an empty bin adds no term
+            return np.abs(gap_sums(idx, values, hits, len(edges) - 1)[np.unique(idx)]).sum()
 
         scheme = BinScheme(kind, m)
         for seed in range(24):
@@ -1007,6 +1010,38 @@ class TestBinnedBaselines:
             assert tce_binned(d, scheme) == want_tce
             assert cwe_binned(d, scheme) == float(want_cwe)
             assert accuracy(d) == float(np.mean(i_star == d.labels))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 15, 1000, 10**7])
+    def test_equal_width_bins_match_the_linspace_edges(self, m):
+        # each value's bin is the one searchsorted over np.linspace(0, 1,
+        # m + 1) gives, at 0, 1, every j/m and every edge, and at the float
+        # neighbours of each; at m = 10**7 every 997th j and the first and
+        # last 5000
+        edges = np.linspace(0.0, 1.0, m + 1)
+        j = np.arange(m + 1)
+        if m > 10**4:
+            j = np.unique(np.concatenate((j[:5000], j[-5000:], j[::997])))
+        at = np.concatenate(([0.0, 1.0], j / m, edges[j]))
+        x = np.concatenate((at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf)))
+        want = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, m - 1)
+        got = BinScheme("equal-width", m)._bin_of(np.sort(x), x)
+        assert np.array_equal(got, want)
+
+    def test_equal_width_memory_does_not_grow_with_bins(self):
+        # only the occupied bins are built: cwe_binned at m = 10**7 peaks as
+        # at m = 2, not at the 80 MB of 10**7 + 1 edges per class
+        rng = np.random.default_rng(5)
+        d = random_preds(rng, 50, 4)
+        cwe_binned(d, BinScheme("equal-width", 2))  # warm the caches
+        peaks = []
+        for m in (2, 10**7):
+            tracemalloc.start()
+            try:
+                cwe_binned(d, BinScheme("equal-width", m))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 1024
 
     @pytest.mark.parametrize("m", [2.5, 3.0, True, "3"])
     def test_bin_count_must_be_an_integer(self, m):

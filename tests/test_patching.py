@@ -25,6 +25,7 @@ from utilcal import (
     split,
     transform,
     uc_hat,
+    uc_hat_pool,
 )
 from utilcal import ParseError, patching
 from utilcal.estimators import (
@@ -56,7 +57,8 @@ def project_simplex(x):
 def apply_patch(p, rec):
     """One patch step on one prediction vector, as a one-row matrix."""
     probs = np.asarray(p, dtype=np.float64)[None, :]
-    hit, uvec = _masked_payoff(probs, rec.spec, rec.lo, rec.hi)
+    v = predicted_utility(rec.spec, probs)
+    hit, uvec = _masked_payoff(probs, v, rec.spec, rec.lo, rec.hi)
     return _apply_record_rows(probs, rec, hit, uvec)[0]
 
 
@@ -296,12 +298,12 @@ class TestFit:
         C = 10
         d, _ = gen_miscalibrated(random_dist(derive_rng(61), 20, C), 2001, seed=3)
         witnesses, masks, moved = [], [], []
-        find = patching.find_worst_witness
+        find = patching._worst_member
         masked, apply = patching._masked_payoff, patching._apply_record_rows
 
         def record_witness(law, pool):
             out = find(law, pool)
-            witnesses.append((law, *out))
+            witnesses.append((law, *out[:2]))
             return out
 
         def record_mask(*args):
@@ -314,7 +316,7 @@ class TestFit:
             moved.append(out)
             return out
 
-        monkeypatch.setattr(patching, "find_worst_witness", record_witness)
+        monkeypatch.setattr(patching, "_worst_member", record_witness)
         monkeypatch.setattr(patching, "_masked_payoff", record_mask)
         monkeypatch.setattr(patching, "_apply_record_rows", record_move)
         seq = fit(d, epsilon=0.01, max_iters=40, augment_count=8)
@@ -376,9 +378,10 @@ class TestFit:
         assert fit(shuffled, **cfg).to_json_dict() == fit(d, **cfg).to_json_dict()
 
     def test_step_size_evaluates_the_witness_once(self, monkeypatch):
-        # the step size and the move share one mask and payoff pass: one
-        # predicted-utility call on the witness outside uc_hat_pool, and no
-        # Brier pass beyond the before and after scores of the history
+        # the step size and the move share one mask and payoff pass: the mask
+        # reads the witness's v from the pool pass, so no predicted-utility
+        # call, and no Brier pass beyond the before and after scores of the
+        # history
         d = gen_two_point(20)
         spec = UtilitySpec.top_class()
         best, est = find_worst_witness(d, [spec])
@@ -397,7 +400,7 @@ class TestFit:
         monkeypatch.setattr(patching, "brier_matrix", counting_brier)
         seq = fit(d, pool=[spec], epsilon=0.01, max_iters=1)
         monkeypatch.undo()
-        assert evaluated == [best]
+        assert evaluated == []
         assert len(scored) == 2
         v = predicted_utility(spec, d.probs)
         uvec = payoff_matrix(spec, d.probs[(v >= lo) & (v <= hi)])
@@ -408,6 +411,60 @@ class TestFit:
         assert seq.history[0].brier_after == brier_matrix(
             transform(d.probs, seq), d.labels
         )
+
+    def test_step_evaluates_nothing_beyond_its_pool_pass(self, monkeypatch):
+        # a linear witness, whose v alone would cost a whole 32-column tile:
+        # one step makes the tiled products of its pool pass and no other,
+        # and calls predicted_utility nowhere
+        from utilcal import estimators
+
+        C = 6
+        d, _ = gen_miscalibrated(random_dist(derive_rng(66), 20, C), 1001, seed=4)
+        pool = [UtilitySpec.linear(np.linspace(-1.0, 1.0, C)), UtilitySpec.top_k(2)]
+        products, evaluated = [], []
+        product = estimators._column_products
+
+        def counting_product(probs, G, sort_rows=False):
+            products.append((G.shape, sort_rows))
+            return product(probs, G, sort_rows)
+
+        def counting(spec, probs):
+            evaluated.append(spec)
+            return predicted_utility(spec, probs)
+
+        monkeypatch.setattr(estimators, "_column_products", counting_product)
+        monkeypatch.setattr(estimators, "predicted_utility", counting)
+        monkeypatch.setattr(patching, "predicted_utility", counting)
+        uc_hat_pool(d, pool)
+        pass_products = list(products)
+        products.clear()
+        seq = fit(d, pool=pool, epsilon=1e-6, max_iters=1)
+        monkeypatch.undo()
+        assert [rec.spec.family for rec in seq.records] == ["linear"]
+        assert pass_products == [((C, 1), False), ((C, 1), True)]
+        assert products == pass_products
+        assert evaluated == []
+
+    def test_augmented_step_memory_is_bounded(self):
+        # one step over 10 comb members and 64 augmented ones at n = 50 000,
+        # C = 10: 32 linear members take one 12.8 MB chunk and 42 rank
+        # members two more.  The witness's v is copied out of its chunk, so
+        # no chunk outlives the pool pass.  The bound is the peak of the same
+        # step when the mask evaluated the witness again (28 282 965 bytes);
+        # a witness v that kept its chunk alive through the step would add
+        # 12.8 MB to it.
+        C, n = 10, 50_000
+        rng = derive_rng(64)
+        probs = rng.dirichlet(np.ones(C), size=n)
+        d = LabeledPredictions(probs, rng.integers(0, C, size=n))
+        tracemalloc.start()
+        try:
+            seq = fit(d, epsilon=1e-6, max_iters=1, augment_count=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(seq.records) == 1
+        assert peak <= 28_282_965
 
     def test_augmented_pool_is_deterministic(self):
         d = gen_two_point(40)
