@@ -87,16 +87,21 @@ def _row_blocks(n: int) -> list[int]:
     return [n * b // blocks for b in range(blocks + 1)]
 
 
-def _label_ranks(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """1-based rank of each row's true class under (-p_j, j) ordering,
-    without sorting whole rows; one row block at a time, so the comparisons
-    take block-sized temporaries."""
+def _label_ranks(
+    probs: np.ndarray, labels: np.ndarray, row_of: np.ndarray | None = None
+) -> np.ndarray:
+    """1-based rank of each label's class under (-p_j, j) ordering in its
+    row, label i's row being ``probs[i]``, or ``probs[row_of[i]]`` when
+    ``row_of`` is given, without sorting whole rows; one block of labels at
+    a time, so the gathered rows and the comparisons take block-sized
+    temporaries."""
     C = probs.shape[1]
     cols = np.arange(C)
-    bounds = _row_blocks(len(probs))
-    ranks = np.empty(len(probs), dtype=np.int64)
+    bounds = _row_blocks(len(labels))
+    ranks = np.empty(len(labels), dtype=np.int64)
     for lo, hi in zip(bounds, bounds[1:]):
-        block, y = probs[lo:hi], labels[lo:hi, None]
+        block = probs[lo:hi] if row_of is None else probs[row_of[lo:hi]]
+        y = labels[lo:hi, None]
         p_label = np.take_along_axis(block, y, axis=1)
         ranks[lo:hi] = (block > p_label).sum(axis=1)
         ranks[lo:hi] += ((block == p_label) & (cols < y)).sum(axis=1)
@@ -178,7 +183,7 @@ def _member_payoffs(
     """``(key, v, u)`` once per distinct utility of ``specs`` (by
     :meth:`UtilitySpec.key`): the predicted utility v of every row of
     ``probs`` and, with ``labels``, the realized payoff u(p, e_label) of
-    every label, else None.
+    every label, else None.  v and u are new arrays the caller owns.
 
     ``row_of``, when given, pairs label i with row ``row_of[i]`` of
     ``probs`` instead of row i, so a row's argmax or payoff vector is
@@ -191,7 +196,8 @@ def _member_payoffs(
     from the same product; the rank members' payoffs read the true-class
     label ranks, counted once.  A member's bits do not depend on the rest
     of ``specs`` or on the chunking.  The "max", "unit" and "dense" members
-    follow, one at a time.
+    follow, one at a time.  A chunk goes after its last member, and no
+    temporary of a member outlives it, so a pass holds one chunk at a time.
     """
     probs = np.asarray(probs, dtype=np.float64)
     n, C = probs.shape
@@ -208,7 +214,7 @@ def _member_payoffs(
             continue
         index = labels
         if stack == "rank" and labels is not None:
-            index = _label_ranks(probs[at], labels) - 1
+            index = _label_ranks(probs, labels, row_of) - 1
         for chunk in _column_chunks([G.shape[1] for _, G in members], n):
             part = members[chunk.start : chunk.stop]
             prods = _column_products(
@@ -223,27 +229,37 @@ def _member_payoffs(
                     u = G[labels, rows.argmax(axis=0)[at]]
                 else:  # 1-D indexing: a mixed index is twice as slow
                     u = G[:, 0][index]
-                yield key, rows.max(axis=0) if wide else rows[0], u
-            del prods, rows  # unless a caller holds a v of it, the chunk goes now
+                yield key, rows.max(axis=0) if wide else rows[0].copy(), u
+            del prods, rows  # the chunk goes before the next one is computed
     for key, (form, param) in forms.items():
-        if form == "max":  # the row maximum, read at the first argmax
-            best = probs.argmax(axis=1)
-            v = probs[np.arange(n), best]
-        elif form == "unit":  # + 0.0 reads a -0.0 entry as 0.0, as p @ e_c does
-            v = probs[:, param] + 0.0
-        elif form == "dense":
-            payoffs = probs @ param
-            v = np.einsum("ij,ij->i", probs, payoffs)
-        else:
-            continue
-        if labels is None:
-            u = None
-        elif form == "dense":
-            u = payoffs[np.arange(len(labels)) if row_of is None else row_of, labels]
-        else:  # the one-hot payoff of the "max" and "unit" forms
-            hit = best[at] if form == "max" else param
-            u = (labels == hit).astype(np.float64)
-        yield key, v, u
+        if form in ("max", "unit", "dense"):
+            yield key, *_lone_payoffs(form, param, probs, labels, row_of)
+
+
+def _lone_payoffs(
+    form: str,
+    param: np.ndarray | int | None,
+    probs: np.ndarray,
+    labels: np.ndarray | None,
+    row_of: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(v, u) of a "max", "unit" or "dense" member for
+    :func:`_member_payoffs`; its argmax or n x C payoffs go on return."""
+    if form == "max":  # the row maximum, read at the first argmax
+        best = probs.argmax(axis=1)
+        v = probs[np.arange(len(probs)), best]
+        hit = best if row_of is None else best[row_of]
+    elif form == "unit":  # + 0.0 reads a -0.0 entry as 0.0, as p @ e_c does
+        v = probs[:, param] + 0.0
+        hit = param
+    else:
+        payoffs = probs @ param
+        v = np.einsum("ij,ij->i", probs, payoffs)
+    if labels is None:
+        return v, None
+    if form == "dense":
+        return v, payoffs[np.arange(len(labels)) if row_of is None else row_of, labels]
+    return v, (labels == hit).astype(np.float64)  # the one-hot payoff
 
 
 def predicted_utility(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
@@ -505,8 +521,7 @@ def _pool_estimates(
     """``(key, v, estimate)`` once per distinct utility of ``specs`` (by
     :meth:`UtilitySpec.key`), in the order :func:`_member_payoffs` yields
     them: v is the utility's predicted utility on the law's points, the
-    estimate its :func:`uc_hat_pool` entry.  v may be a view of a stacked
-    chunk, so a caller that keeps it past the next item copies it."""
+    estimate its :func:`uc_hat_pool` entry."""
     law = data if isinstance(data, GroupedSample) else group_sample(data)
     row_of = law.row_of
     for key, v, r in _member_payoffs(law.points, specs, law.labels, row_of):
@@ -517,7 +532,6 @@ def _pool_estimates(
             r = np.bincount(row_of, weights=law.counts * r, minlength=len(v))
         spread, interval, sign = _worst_interval(v, r)
         yield key, v, UcEstimate(spread / law.n, interval, sign)
-        del v  # a view of its chunk: not held while the next one is computed
 
 
 def uc_hat_pool(
@@ -858,6 +872,28 @@ def evaluate_metrics(
 # --- randomized estimator-vs-oracle equivalence -----------------------------
 
 
+def _random_similarity(C: int, rng: np.random.Generator) -> UtilitySpec:
+    sim = rng.uniform(-1.0, 1.0, size=(C, C))
+    sim = (sim + sim.T) / 2.0
+    np.fill_diagonal(sim, 1.0)
+    return UtilitySpec.similarity(sim)
+
+
+# family -> draw of a random utility of it on C classes, in FAMILIES order:
+# random_instance picks a family by its index here
+_RANDOM_UTILITY = {
+    "top_class": lambda C, rng: UtilitySpec.top_class(),
+    "class_wise": lambda C, rng: UtilitySpec.class_wise(int(rng.integers(C))),
+    "top_k": lambda C, rng: UtilitySpec.top_k(int(rng.integers(1, C + 1))),
+    "rank": sample_rank,
+    "linear": sample_linear,
+    "dcg": lambda C, rng: UtilitySpec.dcg(float(rng.uniform(0.5, 2.0))),
+    "decision": lambda C, rng: sample_decision(C, int(rng.integers(2, 5)), rng),
+    "gain_matrix": gain_matrix_aligned,
+    "similarity": _random_similarity,
+}
+
+
 def random_instance(
     rng: np.random.Generator, n_max: int = 200, c_max: int = 8
 ) -> tuple[LabeledPredictions, UtilitySpec]:
@@ -867,30 +903,8 @@ def random_instance(
     C = int(rng.integers(2, c_max + 1))
     probs = _uniform_simplex(rng, (n, C))
     preds = LabeledPredictions(probs, rng.integers(0, C, size=n))
-
-    fam = rng.integers(9)
-    if fam == 0:
-        spec = UtilitySpec.top_class()
-    elif fam == 1:
-        spec = UtilitySpec.class_wise(int(rng.integers(C)))
-    elif fam == 2:
-        spec = UtilitySpec.top_k(int(rng.integers(1, C + 1)))
-    elif fam == 3:
-        spec = sample_rank(C, rng)
-    elif fam == 4:
-        spec = sample_linear(C, rng)
-    elif fam == 5:
-        spec = UtilitySpec.dcg(float(rng.uniform(0.5, 2.0)))
-    elif fam == 6:
-        spec = sample_decision(C, int(rng.integers(2, 5)), rng)
-    elif fam == 7:
-        spec = gain_matrix_aligned(C, rng)
-    else:
-        sim = rng.uniform(-1.0, 1.0, size=(C, C))
-        sim = (sim + sim.T) / 2.0
-        np.fill_diagonal(sim, 1.0)
-        spec = UtilitySpec.similarity(sim)
-    return preds, spec
+    draw = list(_RANDOM_UTILITY.values())[rng.integers(len(_RANDOM_UTILITY))]
+    return preds, draw(C, rng)
 
 
 def oracle_trials(

@@ -185,8 +185,7 @@ def _worst_member(
     """``(spec, estimate, v)`` of the pool member with the largest
     worst-interval error, the earliest pool index winning ties, from one
     :func:`_pool_estimates` pass; v is the member's predicted utility on the
-    law's points, copied out of its stacked chunk so that no chunk outlives
-    the pass."""
+    law's points."""
     if not pool:
         raise DomainError("witness pool is empty")
     first: dict[tuple, int] = {}
@@ -196,8 +195,7 @@ def _worst_member(
     for key, v, est in _pool_estimates(data, pool):
         i = first[key]
         if best is None or (est.value, -i) > (best[1].value, -best[0]):
-            best = i, est, v.copy()
-        del v  # a view of its chunk: not held while the next one is computed
+            best = i, est, v
     i, est, v = best
     return pool[i], est, v
 
@@ -210,9 +208,10 @@ def find_worst_witness(
 
     The pool goes through one pass (:func:`_worst_member`), as in
     :func:`uc_hat_pool`: each distinct utility is evaluated once and the
-    label ranks are shared by every rank-based utility.  The estimate's sign is that of the realized-minus-predicted
-    residual; a patch step descends on predicted-minus-realized, so its
-    record takes the opposite sign.
+    label ranks are shared by every rank-based utility.  The estimate's
+    sign is that of the realized-minus-predicted residual; a patch step
+    descends on predicted-minus-realized, so its record takes the opposite
+    sign.
     """
     return _worst_member(data, pool)[:2]
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,6 +235,8 @@ class TestEvaluateCmd:
             ({"family": "linear", "params": {"a": [float("nan"), 0.0, 0.0]}}, 2),
             # float() overflowed with a traceback
             ({"family": "dcg", "params": {"gamma": 10**400}}, 2),
+            ({"params": {}}, 3),
+            ({"family": "top_j"}, 3),
         ],
     )
     def test_bad_utility_json_params(self, two_point_files, tmp_path, capsys, params, code):
@@ -334,9 +340,9 @@ class TestPatchCmds:
     @pytest.mark.parametrize(
         "args",
         [["--epsilon", "nan"], ["--epsilon", "nan", "--max-iters", "3"],
-         ["--augment", "-4"], ["--epsilon", "1e-300"]],
+         ["--augment", "-4"], ["--epsilon", "1e-300"], ["--max-iters", "0"]],
         ids=["epsilon-nan", "epsilon-nan-capped", "augment-negative",
-             "epsilon-cap-infinite"],
+             "epsilon-cap-infinite", "max-iters-0"],
     )
     def test_fit_bad_config_exit_2(self, tmp_path, two_point_files, capsys, args):
         seq_path = tmp_path / "seq.json"
@@ -546,3 +552,31 @@ class TestDeterminism:
                   "--utility", "comb", "--out", str(tmp_path / name)])
         assert (tmp_path / "r1.json").read_bytes() == \
             (tmp_path / "r2.json").read_bytes()
+
+
+class TestEntryPoint:
+    """``python -m utilcal.cli`` runs ``entry()``, whose ``sys.exit`` hands
+    ``main``'s return value to the shell as the exit code."""
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["oracle-check", "--trials", "3"], 0),
+            (["evaluate", "--preds", "{missing}", "--labels", "{labels}"], 3),
+            (["evaluate", "--preds", "{preds}", "--labels", "{labels}", "--bins", "0"], 2),
+        ],
+        ids=["oracle-check", "missing-preds", "bins-0"],
+    )
+    def test_exit_code(self, two_point_files, tmp_path, args, code):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        paths = dict(two_point_files, missing=str(tmp_path / "nope.csv"))
+        done = subprocess.run(
+            [sys.executable, "-m", "utilcal.cli", *(a.format(**paths) for a in args)],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == code, done.stderr

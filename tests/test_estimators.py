@@ -138,6 +138,13 @@ def family_spec(family, C, rng):
 
 
 class TestFamilyForms:
+    def test_random_instance_draws_every_family(self):
+        # the oracle trials pick a family by its index in this table: a new
+        # family left out of it would never be checked against the oracle
+        assert tuple(estimators._RANDOM_UTILITY) == FAMILIES
+        for family, draw in estimators._RANDOM_UTILITY.items():
+            assert draw(4, np.random.default_rng(0)).family == family
+
     @pytest.mark.parametrize("family", FAMILIES)
     def test_matches_scalar_reference(self, family):
         # every vectorized pass against eval_utility, row by row, on
@@ -327,9 +334,9 @@ class TestUcHatPool:
             calls["products"] += 1
             return products(probs, G, **kw)
 
-        def count_ranks(probs, labels):
+        def count_ranks(*args):
             calls["ranks"] += 1
-            return label_ranks(probs, labels)
+            return label_ranks(*args)
 
         monkeypatch.setattr(estimators, "_member_payoffs", record_members)
         monkeypatch.setattr(estimators, "predicted_utility", None)
@@ -598,7 +605,9 @@ class TestStackedProducts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < estimators._CHUNK_ELEMENTS * 8 + 16 * d.n * 8
+        # each linear member is one column of a chunk, so a chunk is one
+        # tile of v; a member's v is its own copy, so one chunk at a time
+        assert peak < estimators._TILE * d.n * 8 + 16 * d.n * 8
 
     def test_rank_pool_memory_is_bounded(self):
         # 42 rank members at n = 50 000, C = 200: the pass holds one tile of
@@ -620,6 +629,47 @@ class TestStackedProducts:
         block = estimators._ROW_BLOCK * C * 8
         product = estimators._ROW_BLOCK * estimators._TILE * 8
         assert peak < tile + block + product + 16 * n * 8 < n * C * 8
+
+    def test_dense_pool_memory_is_bounded(self):
+        # a similarity member's n x C payoffs (32 MB) go before the next
+        # member is computed, so two of them never coexist
+        n, C = 20_000, 200
+        d = random_preds(np.random.default_rng(9), n, C)
+        half = np.full((C, C), 0.5)
+        np.fill_diagonal(half, 1.0)
+        pool = [
+            UtilitySpec.similarity(np.eye(C)),
+            UtilitySpec.top_class(),
+            UtilitySpec.similarity(half),
+        ]
+        tracemalloc.start()
+        try:
+            uc_hat_pool(d, pool)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * C * 8 + 16 * n * 8
+
+    def test_grouped_rank_pool_gathers_one_block_of_rows(self):
+        # 50 points, each paired with all 500 labels: the 25 000 pairs' rows
+        # gathered at once would take 100 MB; the label ranks gather one
+        # block of them at a time
+        S, C = 50, 500
+        points = estimators._uniform_simplex(np.random.default_rng(10), (S, C))
+        row_of = np.repeat(np.arange(S), C)
+        labels = np.tile(np.arange(C), S)
+        law = estimators.GroupedSample(points, row_of, labels, np.ones(S * C), S * C)
+        tracemalloc.start()
+        try:
+            uc_hat_pool(law, [UtilitySpec.top_k(3), UtilitySpec.dcg(1.0)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < S * C * C * 8 / 2
+        assert np.array_equal(
+            estimators._label_ranks(points, labels, row_of),
+            estimators._label_ranks(points[row_of], labels),
+        )
 
 
 def per_row_uc(d, spec):
