@@ -9,8 +9,10 @@ guarantee checks in :mod:`utilcal.estimators` rely on.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -413,16 +415,26 @@ def gen_miscalibrated(
 # --- file formats ---------------------------------------------------------
 
 
+# Characters of distinct lines a predictions file may hold in memory before
+# it is handed whole to ``np.loadtxt``: room for the rows of a finite-support
+# law, a small share of a large file whose rows all differ.
+DISTINCT_LINE_BUDGET = 256 * 1024
+
+
+def _loadtxt(source, header: bool, ndmin: int, dtype) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(
+            source, delimiter=",", skiprows=1 if header else 0, ndmin=ndmin,
+            dtype=dtype,
+        )
+
+
 def _load_csv(path: str, header: bool, ndmin: int, dtype) -> np.ndarray:
     """The rows of a comma-separated file; a file without data rows raises
     :class:`ParseError` (numpy's warning about it stays off stderr)."""
     try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            arr = np.loadtxt(
-                path, delimiter=",", skiprows=1 if header else 0, ndmin=ndmin,
-                dtype=dtype,
-            )
+        arr = _loadtxt(path, header, ndmin, dtype)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if len(arr) == 0:
@@ -430,13 +442,53 @@ def _load_csv(path: str, header: bool, ndmin: int, dtype) -> np.ndarray:
     return arr
 
 
+def _load_distinct_rows(path, header: bool) -> np.ndarray | None:
+    """The float matrix of a comma-separated file, each distinct line parsed
+    once by ``np.loadtxt`` and gathered back into file order.
+
+    None when the distinct lines pass :data:`DISTINCT_LINE_BUDGET`, when
+    anything fails, or when the file has no lines or some line is not one
+    row (a blank or comment line): the whole-file parse then gives the
+    answer, and its error messages name file rows."""
+    seen: dict[str, int] = {}
+    order = array("q")
+    held = 0
+    try:
+        # numpy's own opener, so the lines are the text np.loadtxt would
+        # read: the same decompression, decoding and universal newlines
+        with np.lib._datasource.open(os.fspath(path), "rt") as fh:
+            if header:
+                next(fh, None)
+            for line in fh:
+                at = seen.get(line)
+                if at is None:
+                    held += len(line)
+                    if held > DISTINCT_LINE_BUDGET:
+                        return None
+                    at = seen[line] = len(seen)
+                order.append(at)
+        if not seen:
+            return None
+        distinct = _loadtxt(list(seen), False, 2, np.float64)
+    except Exception:  # the whole-file parse raises it again, with file rows
+        return None
+    if len(distinct) != len(seen):
+        return None
+    return distinct[np.frombuffer(order, dtype=np.int64)]
+
+
 def load_predictions_csv(path: str, header: bool = False) -> np.ndarray:
-    """Read an n x C comma-separated float matrix."""
-    return _load_csv(path, header, 2, np.float64)
+    """Read an n x C comma-separated float matrix.
+
+    A line repeated in the file is parsed once; values and error messages
+    are those of ``np.loadtxt`` on the whole file."""
+    probs = _load_distinct_rows(path, header)
+    return _load_csv(path, header, 2, np.float64) if probs is None else probs
 
 
 def load_labels_csv(path: str, header: bool = False) -> np.ndarray:
     """Read n lines, one non-negative integer label each."""
+    # an integer line costs less to parse than to hash: no distinct pass
     return _load_csv(path, header, 1, np.int64)
 
 

@@ -257,10 +257,13 @@ class TestEvaluateCmd:
         assert rc == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
-    def test_missing_file_exit_3(self, tmp_path):
-        rc = main(["evaluate", "--preds", str(tmp_path / "nope.csv"),
+    def test_missing_file_exit_3(self, tmp_path, capsys):
+        """numpy's "not found." text on one stderr line, exit code 3."""
+        missing = tmp_path / "nope.csv"
+        rc = main(["evaluate", "--preds", str(missing),
                    "--labels", str(tmp_path / "nope2.csv")])
         assert rc == 3
+        assert capsys.readouterr().err == f"error: {missing} not found.\n"
 
 
 class TestEcdfCmd:

@@ -1,3 +1,4 @@
+import gzip
 import json
 import tracemalloc
 
@@ -19,6 +20,7 @@ from utilcal import (
     validate,
 )
 from utilcal.dataset import (
+    _load_distinct_rows,
     derive_rng,
     load_distribution_json,
     load_labels_csv,
@@ -348,6 +350,73 @@ class TestFileFormats:
         path.write_text("0.5,0.5\n0.4,oops\n")
         with pytest.raises(ParseError):
             load_predictions_csv(path)
+
+    @pytest.mark.parametrize(
+        "name, text, header",
+        [
+            ("repeated.csv", "0.5,0.5\n0.25,0.75\n0.125,0.875\n" * 400, False),
+            ("crlf.csv", "0.5,0.5\r\n0.25,0.75\r\n0.5,0.5\r\n", False),
+            ("cr.csv", "0.5,0.5\r0.25,0.75\r0.5,0.5\r0.25,0.75", False),
+            ("comments.csv",
+             "# a comment\n0.5,0.5\n0.25,0.75 # inline\n\n0.5,0.5\n", False),
+            ("inline-comment.csv", "0.5,0.5 # inline\n0.25,0.75\n0.5,0.5 # inline\n", False),
+            ("header.csv", "p0,p1\n0.5,0.5\n0.25,0.75\n0.5,0.5\n", True),
+            ("no-final-newline.csv", "0.5,0.5\n0.25,0.75\n0.5,0.5", False),
+            ("spaces.csv", " 0.5 , 0.5\n0.5,0.5\n 0.5 , 0.5 \n 0.5 , 0.5\n", False),
+            ("one-column.csv", "0.5\n0.25\n0.5\n0.5\n", False),
+            ("distinct.csv", "".join(
+                f"{x:.17g},{1 - x:.17g}\n" for x in np.linspace(0, 1, 20_000)
+            ), False),
+            ("repeated.csv.gz", "0.5,0.5\n0.25,0.75\n" * 300, False),
+        ],
+    )
+    def test_predictions_equal_loadtxt(self, tmp_path, name, text, header):
+        """Repeated lines are parsed once, yet the matrix is np.loadtxt's on
+        the whole file, bit for bit, whatever the line endings, comments,
+        blank lines, spacing, width, size or compression."""
+        path = tmp_path / name
+        data = text.encode()
+        path.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
+        got = load_predictions_csv(path, header=header)
+        want = np.loadtxt(path, delimiter=",", skiprows=int(header), ndmin=2)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_distinct_rows_stay_within_budget(self, tmp_path):
+        """A file of few distinct lines is parsed one distinct line at a
+        time; one of 790 kB of distinct lines is left to the whole-file
+        parse once the lines held pass the budget."""
+        few = tmp_path / "few.csv"
+        few.write_text("0.5,0.5\n0.25,0.75\n" * 20_000)
+        assert _load_distinct_rows(few, False).shape == (40_000, 2)
+        many = tmp_path / "many.csv"
+        write_predictions_csv(many, np.linspace(0, 1, 40_000).reshape(-1, 2))
+        assert many.stat().st_size > 790_000
+        assert _load_distinct_rows(many, False) is None
+
+    @pytest.mark.parametrize(
+        "text, row",
+        [
+            ("0.5,0.5\n" * 1000 + "0.4,oops\n0.5,0.5\n", "row 1000,"),
+            ("0.5,0.5\n0.25,0.75\n" * 500 + "0.2,0.3,0.5\n", "row 1001;"),
+            ("", None),
+        ],
+        ids=["malformed", "ragged", "empty"],
+    )
+    def test_parse_error_names_file_row(self, tmp_path, text, row):
+        """A parse error carries np.loadtxt's text for the whole file, with
+        its file row number, not the number of a distinct line."""
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as got:
+            load_predictions_csv(path)
+        if row is None:
+            assert str(got.value) == f"{path}: no data rows"
+            return
+        with pytest.raises(ValueError) as want:
+            np.loadtxt(path, delimiter=",", ndmin=2)
+        assert str(got.value) == f"{path}: {want.value}"
+        assert row in str(got.value)
 
     def test_distribution_json_roundtrip(self, tmp_path):
         dist = two_point_distribution()
