@@ -415,10 +415,13 @@ def gen_miscalibrated(
 # --- file formats ---------------------------------------------------------
 
 
-# Characters of distinct lines a predictions file may hold in memory before
-# it is handed whole to ``np.loadtxt``: room for the rows of a finite-support
-# law, a small share of a large file whose rows all differ.
+# Bytes the distinct lines of a predictions file may hold in memory before
+# the file is handed whole to ``np.loadtxt``: room for the rows of a
+# finite-support law, a small share of a large file whose rows all differ.
 DISTINCT_LINE_BUDGET = 256 * 1024
+# What a distinct line holds beyond its str: its dict slot and its index
+# (49 bytes a line in CPython 3.11, by tracemalloc, rounded up).
+_DISTINCT_LINE_OVERHEAD = 64
 
 
 def _loadtxt(source, header: bool, ndmin: int, dtype) -> np.ndarray:
@@ -446,23 +449,28 @@ def _load_distinct_rows(path, header: bool) -> np.ndarray | None:
     """The float matrix of a comma-separated file, each distinct line parsed
     once by ``np.loadtxt`` and gathered back into file order.
 
-    None when the distinct lines pass :data:`DISTINCT_LINE_BUDGET`, when
-    anything fails, or when the file has no lines or some line is not one
-    row (a blank or comment line): the whole-file parse then gives the
-    answer, and its error messages name file rows."""
+    None when the path is not a regular file (a pipe or FIFO can be read
+    only once), when the distinct lines pass :data:`DISTINCT_LINE_BUDGET`,
+    when the file cannot be opened, decoded or parsed, or when it has no
+    lines or some line is not one row (a blank or comment line): the
+    whole-file parse then gives the answer, and its error messages name
+    file rows."""
+    if not os.path.isfile(path):
+        return None
     seen: dict[str, int] = {}
     order = array("q")
     held = 0
     try:
-        # numpy's own opener, so the lines are the text np.loadtxt would
-        # read: the same decompression, decoding and universal newlines
+        # numpy's own opener (the private np.lib._datasource, which
+        # np.loadtxt reads through), so the lines are the text np.loadtxt
+        # would read: the same decompression, decoding and universal newlines
         with np.lib._datasource.open(os.fspath(path), "rt") as fh:
             if header:
                 next(fh, None)
             for line in fh:
                 at = seen.get(line)
                 if at is None:
-                    held += len(line)
+                    held += sys.getsizeof(line) + _DISTINCT_LINE_OVERHEAD
                     if held > DISTINCT_LINE_BUDGET:
                         return None
                     at = seen[line] = len(seen)
@@ -470,7 +478,7 @@ def _load_distinct_rows(path, header: bool) -> np.ndarray | None:
         if not seen:
             return None
         distinct = _loadtxt(list(seen), False, 2, np.float64)
-    except Exception:  # the whole-file parse raises it again, with file rows
+    except (OSError, EOFError, ValueError):  # raised again, with file rows
         return None
     if len(distinct) != len(seen):
         return None

@@ -1,5 +1,8 @@
 import gzip
 import json
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -380,7 +383,9 @@ class TestFileFormats:
         got = load_predictions_csv(path, header=header)
         want = np.loadtxt(path, delimiter=",", skiprows=int(header), ndmin=2)
         assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        # bit for bit, with a short message when not (a diff of the bytes
+        # of a large file takes minutes)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_distinct_rows_stay_within_budget(self, tmp_path):
         """A file of few distinct lines is parsed one distinct line at a
@@ -393,6 +398,67 @@ class TestFileFormats:
         write_predictions_csv(many, np.linspace(0, 1, 40_000).reshape(-1, 2))
         assert many.stat().st_size > 790_000
         assert _load_distinct_rows(many, False) is None
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="reads a pipe as /dev/fd/N"
+    )
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# distinct rows past the budget\n" + "".join(
+                f"{x:.17g},{1 - x:.17g}\n" for x in np.linspace(0, 1, 20_000)
+            ),
+            "0.5,0.5\n0.25,0.75\n" * 500 + "# a comment\n" + "0.5,0.5\n" * 500,
+        ],
+        ids=["distinct", "repeated"],
+    )
+    def test_pipe_is_read_once(self, tmp_path, text):
+        """A pipe (``--preds <(zcat x.csv.gz)``, ``/dev/stdin``) can be read
+        only once: its matrix is np.loadtxt's on the same text, not what a
+        first pass left in the pipe."""
+        regular = tmp_path / "preds.csv"
+        regular.write_text(text)
+        r, w = os.pipe()
+        path = f"/dev/fd/{r}"
+
+        def feed():
+            with os.fdopen(w, "w") as fh:
+                fh.write(text)
+
+        got = {}
+
+        def load():
+            try:
+                got["probs"] = load_predictions_csv(path)
+            except Exception as exc:  # reported below, in the test's thread
+                got["error"] = exc
+
+        threads = [threading.Thread(target=f, daemon=True) for f in (feed, load)]
+        for t in threads:
+            t.start()
+        threads[1].join(timeout=60)
+        assert not threads[1].is_alive(), "the load still waits on the pipe"
+        while os.read(r, 1 << 16):  # what a failed load left for the feeder
+            pass
+        threads[0].join()
+        os.close(r)
+        assert "error" not in got, got.get("error")
+        want = np.loadtxt(regular, delimiter=",", ndmin=2)
+        assert got["probs"].shape == want.shape
+        assert np.array_equal(got["probs"].view(np.uint64), want.view(np.uint64))
+
+    def test_unexpected_error_is_raised(self, tmp_path, monkeypatch):
+        """Only the errors of opening and parsing send the file to the
+        whole-file parse; a fault in the distinct pass is raised."""
+        path = tmp_path / "preds.csv"
+        path.write_text("0.5,0.5\n" * 10)
+
+        def broken(*args):
+            raise TypeError("broken")
+
+        monkeypatch.setattr("utilcal.dataset._loadtxt", broken)
+        with pytest.raises(TypeError, match="broken"):
+            _load_distinct_rows(path, False)
 
     @pytest.mark.parametrize(
         "text, row",
