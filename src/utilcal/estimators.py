@@ -82,9 +82,28 @@ _CHUNK_ELEMENTS = 1 << 22
 
 def _row_blocks(n: int) -> list[int]:
     """Bounds of the fewest blocks of at most _ROW_BLOCK rows that cover n
-    rows, as even as possible, so no block is a lone row unless n is 1."""
+    rows, as even as possible, so no block is a lone row unless n is 1;
+    ``[0]``, no block, when n is 0."""
     blocks = -(-n // _ROW_BLOCK)
-    return [n * b // blocks for b in range(blocks + 1)]
+    return [n * b // blocks for b in range(blocks + 1)] if n else [0]
+
+
+def _row_argmax(probs: np.ndarray) -> np.ndarray:
+    """The first argmax of each row, one row block at a time: numpy copies
+    a read-only matrix whole before its argmax, so a block is all it
+    copies."""
+    best = np.empty(len(probs), dtype=np.intp)
+    bounds = _row_blocks(len(probs))
+    for lo, hi in zip(bounds, bounds[1:]):
+        best[lo:hi] = probs[lo:hi].argmax(axis=1)
+    return best
+
+
+def _rank_order(probs: np.ndarray) -> np.ndarray:
+    """Each row's classes in rank order under (-p_j, j), a stable sort of
+    -p: the one rank rule that :func:`_label_ranks` and
+    :func:`payoff_matrix` read."""
+    return np.argsort(-probs, axis=1, kind="stable")
 
 
 def _label_ranks(
@@ -92,10 +111,23 @@ def _label_ranks(
 ) -> np.ndarray:
     """1-based rank of each label's class under (-p_j, j) ordering in its
     row, label i's row being ``probs[i]``, or ``probs[row_of[i]]`` when
-    ``row_of`` is given, without sorting whole rows; one block of labels at
-    a time, so the gathered rows and the comparisons take block-sized
-    temporaries."""
-    C = probs.shape[1]
+    ``row_of`` is given.
+
+    With more labels than rows, each row is ranked once
+    (:func:`_rank_order`) into a rank table read at ``(row_of, labels)``.
+    Otherwise no row is sorted: each label's rank is counted, one block of
+    labels at a time, so the gathered rows and the comparisons take
+    block-sized temporaries.  Ranks are integers, so both give the same
+    ranks."""
+    n, C = probs.shape
+    if row_of is not None and len(labels) > n:
+        table = np.empty((n, C), dtype=np.min_scalar_type(C))
+        bounds = _row_blocks(n)
+        for lo, hi in zip(bounds, bounds[1:]):
+            np.put_along_axis(
+                table[lo:hi], _rank_order(probs[lo:hi]), np.arange(1, C + 1), axis=1
+            )
+        return table[row_of, labels].astype(np.int64)
     cols = np.arange(C)
     bounds = _row_blocks(len(labels))
     ranks = np.empty(len(labels), dtype=np.int64)
@@ -162,7 +194,7 @@ def _column_chunks(widths: Sequence[int], n: int) -> list[range]:
     """Runs of consecutive members whose stacked columns form one chunk of
     at most one tile and at most _CHUNK_ELEMENTS values at n rows; a member
     wider than that is a chunk of its own."""
-    cap = min(_TILE, max(1, _CHUNK_ELEMENTS // n))
+    cap = min(_TILE, max(1, _CHUNK_ELEMENTS // max(n, 1)))
     chunks, start, width = [], 0, 0
     for i, w in enumerate(widths):
         if i > start and width + w > cap:
@@ -246,7 +278,7 @@ def _lone_payoffs(
     """(v, u) of a "max", "unit" or "dense" member for
     :func:`_member_payoffs`; its argmax or n x C payoffs go on return."""
     if form == "max":  # the row maximum, read at the first argmax
-        best = probs.argmax(axis=1)
+        best = _row_argmax(probs)
         v = probs[np.arange(len(probs)), best]
         hit = best if row_of is None else best[row_of]
     elif form == "unit":  # + 0.0 reads a -0.0 entry as 0.0, as p @ e_c does
@@ -282,8 +314,11 @@ def realized_utility(
 
 def payoff_matrix(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
     """Full n x C payoff vectors uvec(p_i); used by population computations
-    and patch updates (it materializes n x C, so large-n callers restrict to
-    the rows they need)."""
+    and patch steps.  It materializes n x C, so large-n callers pass the
+    rows they need: a patch step passes one row block at a time, on which
+    the "column", "max", "unit" and "rank" forms give each row the bits
+    they give it in a whole-matrix call (a "column" product goes by
+    :func:`_row_blocks` either way)."""
     probs = np.asarray(probs, dtype=np.float64)
     n, C = probs.shape
     form, param = _payoff_form(spec, C)
@@ -293,7 +328,7 @@ def payoff_matrix(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
         return param[:, _column_products(probs, param).argmax(axis=0)].T
     if form == "max":
         out = np.zeros((n, C))
-        out[np.arange(n), probs.argmax(axis=1)] = 1.0
+        out[np.arange(n), _row_argmax(probs)] = 1.0
         return out
     if form == "unit":
         out = np.zeros((n, C))
@@ -301,8 +336,7 @@ def payoff_matrix(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
         return out
     if form == "rank":  # theta[r - 1] goes to the class ranked r
         out = np.empty((n, C))
-        order = np.argsort(-probs, axis=1, kind="stable")
-        np.put_along_axis(out, order, np.broadcast_to(param, (n, C)), axis=1)
+        np.put_along_axis(out, _rank_order(probs), np.broadcast_to(param, (n, C)), axis=1)
         return out
     return probs @ param
 
@@ -415,17 +449,20 @@ def _merge_ties(v: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ties each row is its own block.  With ties, each block sums its
     residuals in ascending order.  Equal residual values are interchangeable
     addends, and a run of +-0 sums to -0.0 only if every term is -0.0, so
-    any order among equal residuals gives the same bits.  That is why an
-    unstable sort of r, then a stable (radix, for up to 65 535 blocks) sort
-    of the block ids, is enough.  A block that mixes -0.0 and 0.0 in v
-    reports -0.0 when any of its rows holds -0.0, else 0.0.
+    any order among equal residuals gives the same bits.  That is why only
+    the rows of multi-row blocks are re-sorted, by an unstable sort of
+    their r, then a stable (radix, for up to 65 535 such blocks) sort of
+    their block ids; a one-row block keeps its row.  A block that mixes
+    -0.0 and 0.0 in v reports -0.0 when any of its rows holds -0.0, else
+    0.0.
     """
     order = np.argsort(v)
     vs = v[order]
     fresh = vs[1:] != vs[:-1]
     if fresh.all():
         return vs, r[order]
-    starts = np.flatnonzero(np.concatenate(([True], fresh)))
+    opens = np.concatenate(([True], fresh))  # a sorted position opens a block
+    starts = np.flatnonzero(opens)
     block_v = vs[starts]
     zero = np.flatnonzero(block_v == 0)
     if zero.size:
@@ -433,15 +470,17 @@ def _merge_ties(v: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         end = starts[b + 1] if b + 1 < starts.size else vs.size
         block_v[b] = -0.0 if np.signbit(vs[starts[b] : end]).any() else 0.0
     del vs
-    ids = np.empty(v.size, dtype=np.min_scalar_type(starts.size - 1))
-    ids[order[0]] = 0
-    ids[order[1:]] = np.cumsum(fresh, dtype=ids.dtype)
-    del order, fresh
-    order = np.argsort(r)
-    keys = ids[order]
-    del ids
-    order = order[np.argsort(keys, kind="stable")]
-    del keys
+    same = ~fresh
+    tied = np.zeros(v.size, dtype=bool)  # equal to the previous or next row
+    tied[1:] = same
+    tied[:-1] |= same
+    tied = np.flatnonzero(tied)
+    del fresh, same
+    rows = order[tied]
+    first = opens[tied]
+    ids = np.cumsum(first, dtype=np.min_scalar_type(np.count_nonzero(first)))
+    sub = np.argsort(r[rows])
+    order[tied] = rows[sub[np.argsort(ids[sub], kind="stable")]]
     return block_v, np.add.reduceat(r[order], starts)
 
 
@@ -687,11 +726,20 @@ def brier_matrix(
     :class:`GroupedSample`) and its term is repeated that many times.
     Per-row terms are summed in sorted order, so the score is bit-identical
     under row permutations, and a law's score is bit-identical to that of
-    the rows it stands for: both sum the same sorted array.
+    the rows it stands for: both sum the same sorted array.  The terms are
+    computed one row block at a time in one reused block buffer, each row's
+    alone, so the pass holds one block of temporaries.
     """
-    diff = probs.copy()
-    diff[np.arange(len(labels)), labels] -= 1.0
-    per_row = np.sum(diff * diff, axis=1)
+    n = len(labels)
+    per_row = np.empty(n)
+    bounds = _row_blocks(n)
+    buf = np.empty((min(n, _ROW_BLOCK), probs.shape[1]))
+    for lo, hi in zip(bounds, bounds[1:]):
+        diff = buf[: hi - lo]
+        diff[...] = probs[lo:hi]
+        diff[np.arange(hi - lo), labels[lo:hi]] -= 1.0
+        diff *= diff
+        per_row[lo:hi] = diff.sum(axis=1)
     if counts is not None:
         per_row = np.repeat(per_row, counts.astype(np.intp))
     per_row = np.sort(per_row)

@@ -32,7 +32,9 @@ from .errors import ConfigError, DomainError, ParseError
 from .estimators import (
     GroupedSample,
     UcEstimate,
+    _payoff_form,
     _pool_estimates,
+    _row_blocks,
     brier_matrix,
     distinct_rows,
     group_sample,
@@ -224,26 +226,40 @@ def _masked_payoff(
 
     The points are distinct rows, so equal rows get the same move.  ``fit``
     passes the v its witness pass computed, in the order the estimator's
-    blocks were built from; ``transform`` passes :func:`predicted_utility`.
+    blocks were built from.
     """
     hit = (v >= lo) & (v <= hi)
     return hit, payoff_matrix(spec, points[hit])
 
 
 def _apply_record_rows(
-    probs: np.ndarray, rec: PatchRecord, mask: np.ndarray, uvec: np.ndarray
+    points: np.ndarray, rec: PatchRecord, mask: np.ndarray, uvec: np.ndarray | None = None
 ) -> np.ndarray:
-    """One masked corrective step on every row: the rows of ``mask`` move
-    along -sign * uvec, their payoff vectors from :func:`_masked_payoff`, and
-    are projected back onto the simplex; the other rows pass through
-    untouched."""
-    if not len(uvec):
-        return probs
-    # project first, so its temporaries are freed before the n x C copy
-    moved = project_simplex_rows(probs[mask] - rec.step * rec.sign * uvec)
-    out = probs.copy()
-    out[mask] = moved
-    return out
+    """One masked corrective step, in place: the rows of ``mask`` move
+    along -sign * uvec and are projected back onto the simplex; the other
+    rows are untouched.  Returns ``points``.
+
+    The masked rows move one block of :func:`_row_blocks` at a time: the
+    block is gathered, takes its payoff vectors, steps, is projected and is
+    written back, so the pass holds block-sized temporaries.  ``uvec``, when
+    given, holds the masked rows' payoff vectors (:func:`_masked_payoff`),
+    and each block reads its slice.  Otherwise each block computes its own;
+    the bits are those of one call over the whole mask, since the payoff
+    forms are row-wise and a "column" product is split by the same blocks.
+    A "dense" record's payoffs are one product over the whole mask, whose
+    shape its bits depend on.
+    """
+    rows = np.flatnonzero(mask)
+    if uvec is None and _payoff_form(rec.spec, points.shape[1])[0] == "dense":
+        uvec = payoff_matrix(rec.spec, points[rows])
+    step = rec.step * rec.sign
+    bounds = _row_blocks(len(rows))
+    for lo, hi in zip(bounds, bounds[1:]):
+        at = rows[lo:hi]
+        block = points[at]
+        block -= step * (payoff_matrix(rec.spec, block) if uvec is None else uvec[lo:hi])
+        points[at] = project_simplex_rows(block)
+    return points
 
 
 def fit(
@@ -326,7 +342,8 @@ def fit(
         w = weight[hit]
         D = float(np.sort(w * np.sum(uvec * uvec, axis=1)).sum() / w.sum())
         rec = PatchRecord(spec, lo, hi, -est.sign, min(err / D, MAX_STEP))
-        law = replace(law, points=_apply_record_rows(law.points, rec, hit, uvec))
+        # a fresh copy, so every step's law stays as its witness saw it
+        law = replace(law, points=_apply_record_rows(law.points.copy(), rec, hit, uvec))
         briers.append(brier_matrix(law.pair_points(), law.labels, law.counts))
         records.append(rec)
         history.append(HistoryEntry(err, *briers[-2:]))  # Brier before and after
@@ -339,8 +356,9 @@ def transform(data, seq: PatchSequence):
 
     Accepts a LabeledPredictions (returns the same type) or a bare
     probability matrix (returns a matrix).  The rows are grouped once
-    (:func:`distinct_rows`), every record moves the distinct rows, and the
-    result is gathered back to the input's rows, so equal rows stay equal
+    (:func:`distinct_rows`), every record moves the distinct rows in place,
+    one row block at a time (:func:`_apply_record_rows`), and the result is
+    gathered back to the input's rows, so equal rows stay equal
     and the output follows any row permutation of the input.  Rows stay on
     the simplex because every step re-projects.  Raises
     :class:`DomainError` when an entry is NaN or infinite, and
@@ -359,11 +377,9 @@ def transform(data, seq: PatchSequence):
     if not np.isfinite(max_dev):
         raise DomainError("predictions hold NaN or infinite entries")
     check_simplex(max_dev, min_entry)
-    points, inverse = distinct_rows(probs)
+    points, inverse = distinct_rows(probs)  # its own rows or a new array
     del probs
     for rec in seq.records:
-        hit, uvec = _masked_payoff(
-            points, predicted_utility(rec.spec, points), rec.spec, rec.lo, rec.hi
-        )
-        points = _apply_record_rows(points, rec, hit, uvec)
+        v = predicted_utility(rec.spec, points)
+        _apply_record_rows(points, rec, (v >= rec.lo) & (v <= rec.hi))
     return points if inverse is None else points[inverse]

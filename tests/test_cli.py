@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from utilcal import estimators
+from utilcal import PatchRecord, PatchSequence, UtilitySpec, estimators
 from utilcal.cli import main
 from utilcal.dataset import (
     load_predictions_csv,
@@ -355,6 +355,23 @@ class TestPatchCmds:
         assert rc == 2
         assert not seq_path.exists()
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("family", ["decision", "gain_matrix"])
+    def test_apply_record_that_masks_no_row(self, tmp_path, two_point_files, family):
+        # v of these records lies in [-1, 1]: no row reaches [5, 6], so the
+        # rows pass through unchanged
+        C = 3
+        matrix = np.full((C, C), 0.5)
+        np.fill_diagonal(matrix, 1.0)  # a gain matrix has a unit diagonal
+        spec = getattr(UtilitySpec, family)(matrix)
+        seq_path = tmp_path / "seq.json"
+        PatchSequence((PatchRecord(spec, 5.0, 6.0, 1, 0.5),), C).save(str(seq_path))
+        out_csv = tmp_path / "o.csv"
+        rc = main(["patch-apply", str(seq_path), "--preds", two_point_files["preds"],
+                   "--out", str(out_csv)])
+        assert rc == 0
+        want = load_predictions_csv(two_point_files["preds"])
+        assert load_predictions_csv(str(out_csv)).tobytes() == want.tobytes()
 
     def test_apply_dimension_mismatch_exit_2(self, tmp_path, two_point_files):
         seq_path = tmp_path / "seq.json"

@@ -195,6 +195,33 @@ class TestFamilyForms:
             np.put_along_axis(want, order, np.broadcast_to(theta, probs.shape), axis=1)
             assert payoff_matrix(spec, probs).tobytes() == want.tobytes()
 
+    def test_label_ranks_table_and_count_agree_on_one_law(self, monkeypatch):
+        # more pairs than points: one rank table per point, read at the
+        # pairs; the same law's gathered rows take the counting path; both
+        # give the ranks payoff_matrix's rank order assigns
+        rng = np.random.default_rng(14)
+        S, C = 300, 12
+        points = tied_signed_rows(rng, S, C)
+        row_of = np.repeat(np.arange(S), 5)
+        labels = rng.integers(0, C, len(row_of))
+        sorted_rows = []
+        order = estimators._rank_order
+
+        def counting_order(probs):
+            sorted_rows.append(len(probs))
+            return order(probs)
+
+        monkeypatch.setattr(estimators, "_rank_order", counting_order)
+        table = estimators._label_ranks(points, labels, row_of)
+        assert sorted_rows == [S]
+        counted = estimators._label_ranks(points[row_of], labels)
+        assert sorted_rows == [S]
+        assert table.dtype == counted.dtype == np.int64
+        assert np.array_equal(table, counted)
+        theta = np.arange(C, 0, -1, dtype=np.float64)  # rank r pays C + 1 - r
+        ranks = C + 1 - payoff_matrix(UtilitySpec.rank(theta / C), points) * C
+        assert np.array_equal(ranks[row_of, labels], table)
+
     def test_label_ranks_follow_the_stable_sort_across_row_blocks(self):
         rng = np.random.default_rng(13)
         n, C = 8193, 10
@@ -813,6 +840,18 @@ def tie_merge_case(name, rng):
         return residuals(d, UtilitySpec.top_class())
     if name == "top_k_C":
         return residuals(random_preds(rng, 5000, 7), UtilitySpec.top_k(7))
+    if name == "few-tie-blocks":  # mostly one-row blocks, three tied ones
+        v = rng.uniform(0.0, 1.0, 3000)
+        for size in (2, 5, 40):
+            v[rng.choice(3000, size, replace=False)] = rng.uniform(0.0, 1.0)
+        return v, rng.standard_normal(3000)
+    if name == "two-residual-values":  # one tied block of two residual values
+        v = rng.uniform(0.0, 1.0, 2000)
+        tied = rng.choice(2000, 300, replace=False)
+        v[tied] = 0.5
+        r = rng.standard_normal(2000)
+        r[tied] = rng.choice([0.1, -0.3], 300)
+        return v, r
     # signed zeros, tiny terms and large terms that cancel exactly: the sum
     # of one block depends on its addend order
     v = rng.uniform(0.5, 1.0, 30)[rng.integers(0, 30, 4000)]
@@ -824,7 +863,7 @@ class TestMergeTies:
     @pytest.mark.parametrize(
         "case",
         ["continuous", "20-distinct-rows", "small-blocks", "top_k_C",
-         "cancelling-residuals"],
+         "few-tie-blocks", "two-residual-values", "cancelling-residuals"],
     )
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_lexsort_reference_bitwise(self, case, seed):
@@ -846,6 +885,24 @@ class TestMergeTies:
             assert block_v.tolist() == [0.0, 0.5, 1.0]
             assert np.signbit(block_v).tolist() == [True, False, False]
             assert block_sum.tolist() == [0.75, 0.5, -1.0]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixed_zero_block_among_one_row_blocks(self, seed):
+        # a tied block of +0.0 and -0.0 among distinct v values: its sum and
+        # every other block's are the reference's under any row order
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(-1.0, 1.0, 500)
+        zeros = rng.choice(500, 12, replace=False)
+        v[zeros] = np.where(np.arange(12) % 3 == 0, -0.0, 0.0)
+        r = rng.choice([0.0, -0.0, 0.25, -1.5, 1e-17], 500)
+        want_v, want_sum = lexsort_merge_ties(v, r)
+        at = np.flatnonzero(want_v == 0)[0]
+        for _ in range(4):
+            perm = rng.permutation(500)
+            block_v, block_sum = estimators._merge_ties(v[perm], r[perm])
+            assert block_sum.tobytes() == want_sum.tobytes()
+            assert np.signbit(block_v[at])
+            assert np.delete(block_v, at).tobytes() == np.delete(want_v, at).tobytes()
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_single_sign_zero_block_keeps_its_sign(self, zero):
@@ -888,6 +945,20 @@ class TestBoundaryCases:
         for spec, est in zip(specs, per_spec):
             assert abs(est.value - uc_hat_oracle(d, spec)) <= 1e-12
         assert uc_hat_pool(d, specs + specs[:2]) == per_spec + per_spec[:2]
+
+    @pytest.mark.parametrize("form", ["max", "unit", "column", "rank", "dense"])
+    def test_zero_rows_give_zero_values(self, form):
+        assert estimators._row_blocks(0) == [0]
+        C = 4
+        spec = {
+            "max": UtilitySpec.top_class(),
+            "unit": UtilitySpec.class_wise(1),
+            "column": UtilitySpec.decision(np.full((C, 2), 0.5)),
+            "rank": UtilitySpec.top_k(1),
+            "dense": UtilitySpec.similarity(np.eye(C)),
+        }[form]
+        assert predicted_utility(spec, np.zeros((0, C))).shape == (0,)
+        assert payoff_matrix(spec, np.zeros((0, C))).shape == (0, C)
 
 
 class TestInvariances:
@@ -1163,6 +1234,55 @@ class TestScoreMetrics:
             assert law.counts is not None and len(law.points) < d.n
             got = brier_matrix(law.pair_points(), law.labels, law.counts)
             assert got.hex() == brier(d).hex()
+
+    def test_brier_blocks_match_one_whole_pass_bitwise(self):
+        # 3 row blocks and a remainder, with and without counts
+        rng = np.random.default_rng(7)
+        n, C = 3 * estimators._ROW_BLOCK + 77, 9
+        probs = tied_signed_rows(rng, n, C)
+        labels = rng.integers(0, C, n)
+        counts = rng.integers(1, 4, n).astype(np.float64)
+        diff = probs.copy()
+        diff[np.arange(n), labels] -= 1.0
+        per_row = np.sum(diff * diff, axis=1)
+        repeated = np.repeat(per_row, counts.astype(np.intp))
+        for weights, terms in ((None, per_row), (counts, repeated)):
+            want = float(np.sort(terms).sum() / len(terms))
+            assert brier_matrix(probs, labels, weights).hex() == want.hex()
+
+    def test_brier_memory_is_a_few_row_blocks(self):
+        n, C = 20000, 50
+        rng = np.random.default_rng(8)
+        probs = random_preds(rng, n, C).probs
+        labels = rng.integers(0, C, n)
+        tracemalloc.start()
+        try:
+            brier_matrix(probs, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * estimators._ROW_BLOCK * C * 8 + 4 * n * 8
+
+    @pytest.mark.parametrize("metric", ["accuracy", "tce_binned", "pool", "predicted"])
+    def test_top_class_pass_copies_no_matrix(self, metric):
+        # numpy copies a read-only matrix whole before its argmax; the rows
+        # of a LabeledPredictions are read-only, so the argmax goes by blocks
+        n, C = 20000, 50
+        d = random_preds(np.random.default_rng(9), n, C)
+        assert not d.probs.flags.writeable
+        passes = {
+            "accuracy": lambda: accuracy(d),
+            "tce_binned": lambda: tce_binned(d, BinScheme()),
+            "pool": lambda: uc_hat_pool(d, [UtilitySpec.top_class()]),
+            "predicted": lambda: predicted_utility(UtilitySpec.top_class(), d.probs),
+        }
+        tracemalloc.start()
+        try:
+            passes[metric]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * C * 8 / 2
 
     def test_ranges(self):
         d = random_preds(np.random.default_rng(2), 200, 5)

@@ -29,6 +29,7 @@ from utilcal import (
 )
 from utilcal import ParseError, patching
 from utilcal.estimators import (
+    _ROW_BLOCK,
     brier_matrix,
     distinct_rows,
     payoff_matrix,
@@ -55,8 +56,9 @@ def project_simplex(x):
 
 
 def apply_patch(p, rec):
-    """One patch step on one prediction vector, as a one-row matrix."""
-    probs = np.asarray(p, dtype=np.float64)[None, :]
+    """One patch step on a copy of one prediction vector, as a one-row
+    matrix: the step moves its rows in place."""
+    probs = np.array(p, dtype=np.float64)[None, :]
     v = predicted_utility(rec.spec, probs)
     hit, uvec = _masked_payoff(probs, v, rec.spec, rec.lo, rec.hi)
     return _apply_record_rows(probs, rec, hit, uvec)[0]
@@ -216,6 +218,90 @@ class TestApplyPatch:
         # no fit writes an unobserved end, and [-inf, inf] would move every row
         with pytest.raises(DomainError, match="finite lo <= hi"):
             PatchRecord(UtilitySpec.top_class(), lo, hi, 1, 2.0)
+
+
+def whole_mask_step(points, rec, mask):
+    """The reference step: the payoffs, the step and the projection of all
+    masked rows in one call each, into a copy."""
+    out = points.copy()
+    rows = points[mask]
+    out[mask] = project_simplex_rows(rows - rec.step * rec.sign * payoff_matrix(rec.spec, rows))
+    return out
+
+
+def one_spec_per_form(C, rng):
+    """A utility of each payoff form, the "column" form at K = 1 and K > 1."""
+    sim = rng.uniform(-1.0, 1.0, (C, C))
+    sim = (sim + sim.T) / 2.0
+    np.fill_diagonal(sim, 1.0)
+    return {
+        "max": UtilitySpec.top_class(),
+        "unit": UtilitySpec.class_wise(2),
+        "column-1": UtilitySpec.linear(rng.uniform(-1.0, 1.0, C)),
+        "column-K": UtilitySpec.decision(rng.uniform(0.0, 1.0, (C, 4))),
+        "rank": UtilitySpec.rank(np.sort(rng.uniform(-1.0, 1.0, C))[::-1]),
+        "dense": UtilitySpec.similarity(sim),
+    }
+
+
+FORMS = ["max", "unit", "column-1", "column-K", "rank", "dense"]
+
+
+class TestBlockedMover:
+    # 3 full blocks of masked rows and a remainder, among unmasked rows
+    MASKED = 3 * _ROW_BLOCK + 123
+
+    def masked_rows(self, rng, C, duplicated=False):
+        n = 2 * self.MASKED
+        probs = rng.dirichlet(np.full(C, 0.7), n)
+        if duplicated:
+            probs = probs[rng.integers(0, 40, n)]
+        mask = np.zeros(n, dtype=bool)
+        mask[rng.permutation(n)[: self.MASKED]] = True
+        return probs, mask
+
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize("given", [True, False], ids=["fit", "transform"])
+    def test_blocks_match_the_whole_mask_step_bitwise(self, form, given):
+        # fit hands the mover the masked payoffs, transform lets each block
+        # compute its own: either way every row gets the whole-mask bits
+        rng = np.random.default_rng(FORMS.index(form))
+        C = 6
+        probs, mask = self.masked_rows(rng, C)
+        spec = one_spec_per_form(C, rng)[form]
+        rec = PatchRecord(spec, -10.0, 10.0, -1, 0.7)
+        want = whole_mask_step(probs, rec, mask)
+        uvec = payoff_matrix(spec, probs[mask]) if given else None
+        points = probs.copy()
+        assert _apply_record_rows(points, rec, mask, uvec) is points
+        assert points.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_duplicated_rows_move_alike(self, form):
+        rng = np.random.default_rng(20 + FORMS.index(form))
+        C = 5
+        probs, mask = self.masked_rows(rng, C, duplicated=True)
+        rec = PatchRecord(one_spec_per_form(C, rng)[form], -10.0, 10.0, 1, 0.4)
+        points = _apply_record_rows(probs.copy(), rec, mask)
+        assert points.tobytes() == whole_mask_step(probs, rec, mask).tobytes()
+        # equal rows stay equal and distinct rows distinct
+        _, group = distinct_rows(probs[mask])
+        moved, moved_group = distinct_rows(points[mask])
+        pairs = np.unique(np.stack([group, moved_group]), axis=1)
+        assert pairs.shape[1] == len(moved) == group.max() + 1
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_empty_mask_moves_nothing(self, form, monkeypatch):
+        rng = np.random.default_rng(30)
+        C = 4
+        probs = rng.dirichlet(np.ones(C), 50)
+        projected = []
+        monkeypatch.setattr(patching, "project_simplex_rows", projected.append)
+        rec = PatchRecord(one_spec_per_form(C, rng)[form], 0.0, 1.0, 1, 0.5)
+        points = probs.copy()
+        assert _apply_record_rows(points, rec, np.zeros(50, dtype=bool)) is points
+        assert points.tobytes() == probs.tobytes()
+        assert projected == []
 
 
 class TestFit:
@@ -595,6 +681,38 @@ class TestTransform:
         d = gen_two_point(20)
         out = transform(d.probs, PatchSequence((), 3))
         assert np.array_equal(out, d.probs)
+
+    def test_zero_rows_give_zero_rows(self):
+        C = 4
+        loss = np.random.default_rng(2).uniform(0.0, 1.0, (C, 3))
+        seq = PatchSequence((
+            PatchRecord(UtilitySpec.decision(loss), -1.0, 0.0, 1, 0.5),
+            PatchRecord(UtilitySpec.top_k(2), 0.0, 1.0, -1, 0.5),
+        ), C)
+        out = transform(np.zeros((0, C)), seq)
+        assert out.shape == (0, C)
+
+    def test_memory_is_the_input_copy_and_a_few_blocks(self):
+        # a rank record and a decision record that mask every row of 3 row
+        # blocks and a remainder: each record moves the points in place one
+        # block at a time, with no n x C temporary beside the input copy
+        n, C = 3 * _ROW_BLOCK + 500, 40
+        rng = np.random.default_rng(4)
+        probs = rng.dirichlet(np.ones(C), n)
+        seq = PatchSequence((
+            PatchRecord(UtilitySpec.rank(np.linspace(1.0, 0.0, C)), 0.0, 1.0, 1, 0.2),
+            PatchRecord(UtilitySpec.decision(rng.uniform(0.0, 1.0, (C, 4))), -1.0, 0.0,
+                        -1, 0.3),
+        ), C)
+        block = _ROW_BLOCK * C * 8
+        tracemalloc.start()
+        try:
+            out = transform(probs, seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= probs.nbytes + 8 * block
+        assert (out != probs).any(axis=1).all()  # every row moved
 
     def test_replay_matches_fit_bitwise(self):
         d = gen_two_point(200)
