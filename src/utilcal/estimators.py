@@ -99,35 +99,15 @@ def _row_argmax(probs: np.ndarray) -> np.ndarray:
     return best
 
 
-def _rank_order(probs: np.ndarray) -> np.ndarray:
-    """Each row's classes in rank order under (-p_j, j), a stable sort of
-    -p: the one rank rule that :func:`_label_ranks` and
-    :func:`payoff_matrix` read."""
-    return np.argsort(-probs, axis=1, kind="stable")
-
-
 def _label_ranks(
     probs: np.ndarray, labels: np.ndarray, row_of: np.ndarray | None = None
 ) -> np.ndarray:
     """1-based rank of each label's class under (-p_j, j) ordering in its
     row, label i's row being ``probs[i]``, or ``probs[row_of[i]]`` when
-    ``row_of`` is given.
-
-    With more labels than rows, each row is ranked once
-    (:func:`_rank_order`) into a rank table read at ``(row_of, labels)``.
-    Otherwise no row is sorted: each label's rank is counted, one block of
-    labels at a time, so the gathered rows and the comparisons take
-    block-sized temporaries.  Ranks are integers, so both give the same
-    ranks."""
-    n, C = probs.shape
-    if row_of is not None and len(labels) > n:
-        table = np.empty((n, C), dtype=np.min_scalar_type(C))
-        bounds = _row_blocks(n)
-        for lo, hi in zip(bounds, bounds[1:]):
-            np.put_along_axis(
-                table[lo:hi], _rank_order(probs[lo:hi]), np.arange(1, C + 1), axis=1
-            )
-        return table[row_of, labels].astype(np.int64)
+    ``row_of`` is given, without sorting whole rows; one block of labels at
+    a time, so the gathered rows and the comparisons take block-sized
+    temporaries."""
+    C = probs.shape[1]
     cols = np.arange(C)
     bounds = _row_blocks(len(labels))
     ranks = np.empty(len(labels), dtype=np.int64)
@@ -336,7 +316,8 @@ def payoff_matrix(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
         return out
     if form == "rank":  # theta[r - 1] goes to the class ranked r
         out = np.empty((n, C))
-        np.put_along_axis(out, _rank_order(probs), np.broadcast_to(param, (n, C)), axis=1)
+        order = np.argsort(-probs, axis=1, kind="stable")
+        np.put_along_axis(out, order, np.broadcast_to(param, (n, C)), axis=1)
         return out
     return probs @ param
 

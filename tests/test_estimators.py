@@ -195,33 +195,6 @@ class TestFamilyForms:
             np.put_along_axis(want, order, np.broadcast_to(theta, probs.shape), axis=1)
             assert payoff_matrix(spec, probs).tobytes() == want.tobytes()
 
-    def test_label_ranks_table_and_count_agree_on_one_law(self, monkeypatch):
-        # more pairs than points: one rank table per point, read at the
-        # pairs; the same law's gathered rows take the counting path; both
-        # give the ranks payoff_matrix's rank order assigns
-        rng = np.random.default_rng(14)
-        S, C = 300, 12
-        points = tied_signed_rows(rng, S, C)
-        row_of = np.repeat(np.arange(S), 5)
-        labels = rng.integers(0, C, len(row_of))
-        sorted_rows = []
-        order = estimators._rank_order
-
-        def counting_order(probs):
-            sorted_rows.append(len(probs))
-            return order(probs)
-
-        monkeypatch.setattr(estimators, "_rank_order", counting_order)
-        table = estimators._label_ranks(points, labels, row_of)
-        assert sorted_rows == [S]
-        counted = estimators._label_ranks(points[row_of], labels)
-        assert sorted_rows == [S]
-        assert table.dtype == counted.dtype == np.int64
-        assert np.array_equal(table, counted)
-        theta = np.arange(C, 0, -1, dtype=np.float64)  # rank r pays C + 1 - r
-        ranks = C + 1 - payoff_matrix(UtilitySpec.rank(theta / C), points) * C
-        assert np.array_equal(ranks[row_of, labels], table)
-
     def test_label_ranks_follow_the_stable_sort_across_row_blocks(self):
         rng = np.random.default_rng(13)
         n, C = 8193, 10
