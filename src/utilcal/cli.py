@@ -202,7 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
-                   help="sweep workers, capped at --m and the core count")
+                   help="sweep workers, capped at --m and the core count; each "
+                        "worker passes over the whole matrix, so on 2 cores 2 "
+                        "workers were no faster than 1")
     p.add_argument("--keep-utilities", action="store_true",
                    help="store the sampled utility specs in the sidecar for exact replay")
     p.set_defaults(func=cmd_ecdf)

@@ -385,31 +385,24 @@ def gen_calibrated(
 
 
 def gen_miscalibrated(
-    spec: FiniteDistribution | list[tuple],
+    spec: FiniteDistribution,
     n: int,
     seed: int,
 ) -> tuple[LabeledPredictions, FiniteDistribution]:
-    """Sample n rows from an arbitrary finite-support law.
-
-    ``spec`` is either a ready FiniteDistribution or a list of
-    ``(p_s, q_s, pi_s)`` triples.  The returned distribution echoes the spec.
-    """
-    if isinstance(spec, FiniteDistribution):
-        dist = spec
-    else:
-        support = np.array([p for p, _, _ in spec], dtype=np.float64)
-        cond = np.array([q for _, q, _ in spec], dtype=np.float64)
-        weights = np.array([w for _, _, w in spec], dtype=np.float64)
-        dist = FiniteDistribution(support, weights, cond)
+    """Sample n rows from an arbitrary finite-support law ``spec``, which is
+    returned as the distribution.  Raises :class:`DomainError` unless
+    ``spec`` is a :class:`FiniteDistribution`."""
+    if not isinstance(spec, FiniteDistribution):
+        raise DomainError(f"spec must be a FiniteDistribution, got {type(spec).__name__}")
     if n < 1:
         raise DomainError("n must be >= 1")
     rng = derive_rng(seed)
-    cum_w = np.cumsum(dist.weights)
+    cum_w = np.cumsum(spec.weights)
     s_idx = np.minimum(
-        np.searchsorted(cum_w, rng.random(n), side="right"), dist.S - 1
+        np.searchsorted(cum_w, rng.random(n), side="right"), spec.S - 1
     )
-    labels = _sample_labels(dist.cond_label[s_idx], rng)
-    return LabeledPredictions(dist.support[s_idx], labels), dist
+    labels = _sample_labels(spec.cond_label[s_idx], rng)
+    return LabeledPredictions(spec.support[s_idx], labels), spec
 
 
 # --- file formats ---------------------------------------------------------

@@ -140,6 +140,9 @@ def write_ecdf_csv(path: str, result: EcdfResult) -> None:
 
 
 def write_ecdf_sidecar(path: str, result: EcdfResult) -> None:
+    """The eCDF's metadata as JSON: family, M, seed, band_halfwidth, delta
+    and, when kept, the utilities in sampling order (utility m drawn from
+    the stream (seed, m)), not in the CSV's ascending error order."""
     meta = {
         "family": result.family,
         "M": result.M,

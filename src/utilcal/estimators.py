@@ -45,9 +45,10 @@ from .utilities import (
 #             so v = sort(p, descending) @ theta; top_k's theta is 1{r <= k};
 #   "dense":  uvec(p) = p @ S.
 # Only _member_payoffs and payoff_matrix branch on the form.  The "column"
-# form's matrices and the "rank" form's thetas go through the tiled product
-# of _column_products, the thetas on sorted row blocks: a pool reads each row
-# block once per tile of members, and a lone member pays a whole tile.
+# form's matrices, the "rank" form's thetas and payoff_matrix's S go through
+# the tiled product of _column_products, the thetas on sorted row blocks: a
+# pool reads each row block once per tile of members, and a lone member pays
+# a whole tile.
 # family -> (form, builder of G, c, theta or S from (spec, C))
 _FORMS = {
     "top_class": ("max", lambda spec, C: None),
@@ -296,9 +297,9 @@ def payoff_matrix(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
     """Full n x C payoff vectors uvec(p_i); used by population computations
     and patch steps.  It materializes n x C, so large-n callers pass the
     rows they need: a patch step passes one row block at a time, on which
-    the "column", "max", "unit" and "rank" forms give each row the bits
-    they give it in a whole-matrix call (a "column" product goes by
-    :func:`_row_blocks` either way)."""
+    every form gives each row the bits it gives it in a whole-matrix call
+    (a "column" or "dense" product goes by :func:`_row_blocks` either
+    way)."""
     probs = np.asarray(probs, dtype=np.float64)
     n, C = probs.shape
     form, param = _payoff_form(spec, C)
@@ -319,7 +320,7 @@ def payoff_matrix(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
         order = np.argsort(-probs, axis=1, kind="stable")
         np.put_along_axis(out, order, np.broadcast_to(param, (n, C)), axis=1)
         return out
-    return probs @ param
+    return _column_products(probs, param).T.copy()  # C-ordered, as fit's D reads it
 
 
 # --- distinct rows ------------------------------------------------------------
@@ -359,30 +360,19 @@ def distinct_rows(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         return probs, None
     del col
     bits = probs.view(np.uint64)
-    h = _row_hashes(bits)
-    hs = np.sort(h)
-    fresh = hs[1:] != hs[:-1]
-    del hs
-    if fresh.all():
+    hashes, inverse = np.unique(_row_hashes(bits), return_inverse=True)
+    if len(hashes) == n:
         return probs, None
-    order = np.argsort(h)
-    del h
-    group = np.cumsum(np.concatenate(([False], fresh)))  # per sorted position
-    first = order[np.flatnonzero(np.concatenate(([True], fresh)))]
-    del fresh
+    rep = np.empty(len(hashes), dtype=np.intp)
+    rep[inverse] = np.arange(n)  # any row of a hash: the check proves them equal
     block = max(1, _BLOCK_ELEMENTS // C)
-    for lo in range(0, n, block):  # each row against its hash group's first
-        rows = order[lo : lo + block]
-        reps = first[group[lo : lo + block]]
-        dup = rows != reps
-        if not (bits[rows[dup]] == bits[reps[dup]]).all():
+    for lo in range(0, n, block):  # each row against its hash's representative
+        if not (bits[lo : lo + block] == bits[rep[inverse[lo : lo + block]]]).all():
             uniq, inverse = np.unique(bits, axis=0, return_inverse=True)
             if len(uniq) == n:
                 return probs, None
             return uniq.view(np.float64), inverse.reshape(-1)
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[order] = group
-    return probs[first], inverse
+    return probs[rep], inverse
 
 
 def residuals(

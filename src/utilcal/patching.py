@@ -32,7 +32,6 @@ from .errors import ConfigError, DomainError, ParseError
 from .estimators import (
     GroupedSample,
     UcEstimate,
-    _payoff_form,
     _pool_estimates,
     _row_blocks,
     brier_matrix,
@@ -245,13 +244,9 @@ def _apply_record_rows(
     given, holds the masked rows' payoff vectors (:func:`_masked_payoff`),
     and each block reads its slice.  Otherwise each block computes its own;
     the bits are those of one call over the whole mask, since the payoff
-    forms are row-wise and a "column" product is split by the same blocks.
-    A "dense" record's payoffs are one product over the whole mask, whose
-    shape its bits depend on.
+    forms are row-wise and the products are split by the same blocks.
     """
     rows = np.flatnonzero(mask)
-    if uvec is None and _payoff_form(rec.spec, points.shape[1])[0] == "dense":
-        uvec = payoff_matrix(rec.spec, points[rows])
     step = rec.step * rec.sign
     bounds = _row_blocks(len(rows))
     for lo, hi in zip(bounds, bounds[1:]):

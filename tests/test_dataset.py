@@ -251,42 +251,50 @@ class TestGenCalibrated:
 
     def test_degenerate_one_hot_support(self):
         # all labels are forced once the conditional law is a point mass
+        one_hot = np.array([[1.0, 0.0]])
         sample, _ = gen_miscalibrated(
-            [(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 1.0)], 50, seed=0
+            FiniteDistribution(one_hot, np.array([1.0]), one_hot), 50, seed=0
         )
         assert np.all(sample.labels == 0)
 
 
 class TestGenMiscalibrated:
     def test_echoes_spec(self):
-        triples = [
-            (np.array([0.45, 0.275, 0.275]), np.array([0.05, 0.95, 0.0]), 0.5),
-            (np.array([0.55, 0.225, 0.225]), np.array([0.95, 0.05, 0.0]), 0.5),
-        ]
-        sample, dist = gen_miscalibrated(triples, 100, seed=1)
+        support = np.array([[0.45, 0.275, 0.275], [0.55, 0.225, 0.225]])
+        cond = np.array([[0.05, 0.95, 0.0], [0.95, 0.05, 0.0]])
+        spec = FiniteDistribution(support, np.array([0.5, 0.5]), cond)
+        sample, dist = gen_miscalibrated(spec, 100, seed=1)
+        assert dist is spec
         assert population_uc(dist, UtilitySpec.top_class()) == pytest.approx(
             0.2, abs=1e-15
         )
         assert sample.n == 100
         # every sampled row is one of the support points
         for row in sample.probs:
-            assert any(np.array_equal(row, p) for p, _, _ in triples)
+            assert any(np.array_equal(row, p) for p in support)
 
     def test_calibrated_spec_gives_zero(self):
-        p = np.array([0.3, 0.7])
-        _, dist = gen_miscalibrated([(p, p, 1.0)], 10, seed=0)
+        p = np.array([[0.3, 0.7]])
+        _, dist = gen_miscalibrated(FiniteDistribution(p, np.array([1.0]), p), 10, seed=0)
         assert population_uc(dist, UtilitySpec.top_class()) == 0.0
 
     def test_invariant_violation_rejected(self):
-        bad_weight = [(np.array([0.5, 0.5]), np.array([0.5, 0.5]), 0.9)]
+        half = np.array([[0.5, 0.5]])
         with pytest.raises(DomainError):
-            gen_miscalibrated(bad_weight, 10, seed=0)
-        dup = [
-            (np.array([0.5, 0.5]), np.array([0.5, 0.5]), 0.5),
-            (np.array([0.5, 0.5]), np.array([1.0, 0.0]), 0.5),
-        ]
+            gen_miscalibrated(FiniteDistribution(half, np.array([0.9]), half), 10, seed=0)
+        dup = np.array([[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(DomainError):
-            gen_miscalibrated(dup, 10, seed=0)
+            gen_miscalibrated(
+                FiniteDistribution(dup, np.array([0.5, 0.5]), np.array([[0.5, 0.5], [1.0, 0.0]])),
+                10,
+                seed=0,
+            )
+
+    def test_only_a_finite_distribution_accepted(self):
+        # a list of (p_s, q_s, pi_s) triples is not a law
+        p = np.array([0.3, 0.7])
+        with pytest.raises(DomainError, match="FiniteDistribution"):
+            gen_miscalibrated([(p, p, 1.0)], 10, seed=0)
 
 
 class TestFiniteDistributionChecks:

@@ -195,6 +195,20 @@ class TestFamilyForms:
             np.put_along_axis(want, order, np.broadcast_to(theta, probs.shape), axis=1)
             assert payoff_matrix(spec, probs).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("C", [2, 10, 40])
+    def test_dense_payoffs_are_the_tiled_product_c_ordered(self, C):
+        # the dense form goes by _column_products' row blocks, so one block
+        # of rows gets the bits of the whole-matrix call; it comes back
+        # C-ordered, as a transposed view can move the bits of row sums
+        rng = np.random.default_rng(C)
+        probs = random_preds(rng, 2 * estimators._ROW_BLOCK + 9, C).probs
+        spec = family_spec("similarity", C, rng)
+        whole = payoff_matrix(spec, probs)
+        assert whole.flags.c_contiguous
+        assert whole.tobytes() == estimators._column_products(probs, spec.sim).T.tobytes()
+        lo, hi = estimators._row_blocks(len(probs))[1:3]
+        assert payoff_matrix(spec, probs[lo:hi]).tobytes() == whole[lo:hi].tobytes()
+
     def test_label_ranks_follow_the_stable_sort_across_row_blocks(self):
         rng = np.random.default_rng(13)
         n, C = 8193, 10
@@ -751,6 +765,31 @@ class TestDistinctRows:
         assert len(rows) == 3
         assert rows[inverse].tobytes() == probs.tobytes()
         assert len(set(inverse[[0, 1, 2]])) == 3
+
+    @pytest.mark.parametrize("first", [0, 1], ids=["a-first", "b-first"])
+    def test_partial_collision_keeps_rows_apart(self, monkeypatch, first):
+        # rows a and b differ but share one hash, and every other hash
+        # differs: whichever of them represents the hash, the exact check
+        # finds the other and falls back to np.unique's order
+        rng = np.random.default_rng(11)
+        pts = rng.dirichlet(np.ones(5), 4)
+        pts[:, 0] = 0.2  # the first column repeats, so the hashes are read
+        a, b = pts[[first, 1 - first]]
+        real = estimators._row_hashes
+        ha, hb = real(np.array([a, b]).view(np.uint64))
+
+        def merged(bits):
+            h = real(bits)
+            h[h == hb] = ha
+            return h
+
+        monkeypatch.setattr(estimators, "_row_hashes", merged)
+        probs = pts[[0, 1, 2, 3, 1, 0, 2, 0]]
+        rows, inverse = distinct_rows(probs)
+        want = np.unique(probs.view(np.uint64), axis=0).view(np.float64)
+        assert rows.tobytes() == want.tobytes()
+        assert rows[inverse].tobytes() == probs.tobytes()
+        assert len(set(inverse[:4])) == 4
 
     def test_hashes_prove_rows_distinct(self):
         # the first column repeats but no row does: the hashes show it

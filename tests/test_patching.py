@@ -714,6 +714,26 @@ class TestTransform:
         assert peak <= probs.nbytes + 8 * block
         assert (out != probs).any(axis=1).all()  # every row moved
 
+    def test_similarity_record_moves_in_row_blocks(self):
+        # a similarity record that masks every row of 3 row blocks and a
+        # remainder: each block takes its own payoffs, so the move holds no
+        # masked n x C payoffs beside the input copy.  The v pass still
+        # holds its whole n x C product probs @ S (ROADMAP item 5).
+        n, C = 3 * _ROW_BLOCK + 500, 40
+        rng = np.random.default_rng(5)
+        probs = rng.dirichlet(np.ones(C), n)
+        spec = one_spec_per_form(C, rng)["dense"]
+        seq = PatchSequence((PatchRecord(spec, -10.0, 10.0, 1, 0.2),), C)
+        block = _ROW_BLOCK * C * 8
+        tracemalloc.start()
+        try:
+            out = transform(probs, seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * probs.nbytes + 2 * block
+        assert (out != probs).any(axis=1).all()  # every row moved
+
     def test_replay_matches_fit_bitwise(self):
         d = gen_two_point(200)
         seq = fit(d, pool=[UtilitySpec.top_class()], epsilon=0.01)
