@@ -91,13 +91,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ecdf(args) -> int:
+    if args.threads < 1:
+        raise DomainError(f"--threads must be >= 1, got {args.threads}")
     preds = _load_preds(args)
     result = ecdf.ecdf_evaluate(
         preds,
         family=args.family,
         M=args.m,
         seed=args.seed,
-        threads=args.threads,
         delta=args.delta,
         keep_utilities=args.keep_utilities,
     )
@@ -202,9 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
-                   help="sweep workers, capped at --m and the core count; each "
-                        "worker passes over the whole matrix, so on 2 cores 2 "
-                        "workers were no faster than 1")
+                   help="accepted for old command lines; must be >= 1 and "
+                        "changes nothing (the sweep runs in one thread)")
     p.add_argument("--keep-utilities", action="store_true",
                    help="store the sampled utility specs in the sidecar for exact replay")
     p.set_defaults(func=cmd_ecdf)

@@ -44,8 +44,8 @@ class LabeledPredictions:
     or a label lies outside [0, C), so every estimator can rely on them.
     The simplex tolerances are the job of :func:`validate`, so
     that noisy external data can be loaded, inspected, and optionally
-    repaired.  Arrays are made read-only so instances can be shared across
-    workers.
+    repaired.  Arrays are made read-only, so whatever holds them (a grouped
+    law may hold the matrix itself) sees them unchanged.
     """
 
     probs: np.ndarray

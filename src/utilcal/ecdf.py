@@ -8,8 +8,6 @@ CDF of those errors with a DKW confidence band.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
@@ -17,7 +15,7 @@ import numpy as np
 from .dataset import LabeledPredictions, write_json
 from .errors import DomainError
 # uc_hat stays importable here: perfbench's tracer wraps it at this module.
-from .estimators import group_sample, uc_hat, uc_hat_pool  # noqa: F401
+from .estimators import uc_hat, uc_hat_pool  # noqa: F401
 from .utilities import UtilitySpec, derive_rng, sample_utility
 
 
@@ -67,48 +65,28 @@ def ecdf_evaluate(
     family: str,
     M: int,
     seed: int,
-    threads: int = 1,
+    *,
     delta: float | None = None,
     keep_utilities: bool = False,
 ) -> EcdfResult:
     """Worst-interval error of M utilities sampled from ``family``.
 
-    Utility m draws from the stream derived from (seed, m), so the result is
-    byte-identical whatever the worker count.  The sweep runs on
-    min(threads, M, cores) workers: threads beyond the core count only
-    contend.
+    Utility m draws from the stream derived from (seed, m), so the result
+    depends only on (preds, family, M, seed).  The M utilities are one
+    :func:`uc_hat_pool`, which groups the sample once.
     """
     if M < 1:
         raise DomainError("M must be >= 1")
     if delta is not None:
         dkw_band(M, delta)  # a bad delta fails before the sweep
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
-    C = preds.C
-    law = group_sample(preds)
-
-    def share(ms: range) -> list[tuple[float, UtilitySpec]]:
-        specs = [sample_utility(family, C, derive_rng(seed, m)) for m in ms]
-        estimates = uc_hat_pool(law, specs)
-        return [(est.value, spec) for est, spec in zip(estimates, specs)]
-
-    # The sample is grouped once; each worker evaluates a contiguous share of
-    # the utilities in one pool on that law.
-    workers = min(threads, M, os.cpu_count() or 1)
-    bounds = [M * w // workers for w in range(workers + 1)]
-    shares = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = [r for part in pool.map(share, shares) for r in part]
-    else:
-        results = share(shares[0])
-
+    specs = [sample_utility(family, preds.C, derive_rng(seed, m)) for m in range(M)]
+    estimates = uc_hat_pool(preds, specs)
     return EcdfResult(
-        errors=np.array([val for val, _ in results]),
+        errors=np.array([est.value for est in estimates]),
         family=family,
         seed=seed,
         delta=delta,
-        utilities=tuple(spec for _, spec in results) if keep_utilities else None,
+        utilities=tuple(specs) if keep_utilities else None,
     )
 
 

@@ -126,7 +126,7 @@ FAMILY_PARAMS = {
 FAMILIES = tuple(FAMILY_PARAMS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UtilitySpec:
     """Tagged parameterization of one utility function.
 
@@ -222,6 +222,14 @@ class UtilitySpec:
                 value = (value.shape, value.tobytes())
             parts.append(value)
         return tuple(parts)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, UtilitySpec):
+            return NotImplemented
+        return self.key() == other.key()
+
+    def __hash__(self) -> int:
+        return hash(self.key())
 
     def to_json_dict(self) -> dict:
         params: dict = {}

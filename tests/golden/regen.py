@@ -63,7 +63,7 @@ RUNS = {
     ),
     "ecdf-linear": (
         ["ecdf", "--preds", _input("preds.csv"), "--labels", _input("labels.csv"),
-         "--family", "linear", "--m", "40", "--seed", "3", "--threads", "2",
+         "--family", "linear", "--m", "40", "--seed", "3",
          "--keep-utilities", "--out", "{out}/ecdf-linear.csv"],
         ["ecdf-linear.csv", "ecdf-linear.csv.json"],
     ),

@@ -228,7 +228,7 @@ def test_criterion_10_scalability():
     assert single < 5.0
 
     t0 = time.perf_counter()
-    ecdf_evaluate(d, "linear", M=200, seed=3, threads=8)
+    ecdf_evaluate(d, "linear", M=200, seed=3)
     sweep = time.perf_counter() - t0
     assert sweep < 300.0
     _report(10, f"uc_hat n=1e5 C=1000 in {single:.2f}s; ecdf M=200 in {sweep:.1f}s")

@@ -294,6 +294,23 @@ class TestEcdfCmd:
                    "--out", str(tmp_path / "e.csv")])
         assert rc == 2
 
+    def test_threads_flag_runs_one_pool(self, two_point_files, tmp_path, monkeypatch):
+        from utilcal import ecdf
+
+        calls = []
+        pool = ecdf.uc_hat_pool
+
+        def counting(data, specs):
+            calls.append(len(specs))
+            return pool(data, specs)
+
+        monkeypatch.setattr(ecdf, "uc_hat_pool", counting)
+        assert main(["ecdf", "--preds", two_point_files["preds"],
+                     "--labels", two_point_files["labels"],
+                     "--family", "linear", "--m", "30", "--threads", "2",
+                     "--out", str(tmp_path / "e.csv")]) == 0
+        assert calls == [30]
+
     def test_rerun_byte_identical(self, two_point_files, tmp_path):
         args = ["ecdf", "--preds", two_point_files["preds"],
                 "--labels", two_point_files["labels"],

@@ -63,51 +63,7 @@ class TestEcdfEvaluate:
         assert res.cdf_at(res.errors[0]) == 1.0
         assert res.cdf_at(res.errors[0] - 1e-9) == 0.0
 
-    def test_deterministic_across_thread_counts(self):
-        d, _ = gen_calibrated(400, 5, 3, seed=2)
-        a = ecdf_evaluate(d, "linear", M=40, seed=7, threads=1)
-        b = ecdf_evaluate(d, "linear", M=40, seed=7, threads=3)
-        assert np.array_equal(a.errors, b.errors)
-
-    def test_rank_bytes_independent_of_thread_count(self):
-        # each worker's pool is its own share of the utilities, so a rank
-        # utility shares its sorted-row tile with other members per count
-        rng = np.random.default_rng(5)
-        e = -np.log1p(-rng.random((5003, 20)))
-        d = LabeledPredictions(e / e.sum(axis=1, keepdims=True), rng.integers(0, 20, 5003))
-        runs = [ecdf_evaluate(d, "rank", M=45, seed=3, threads=t).errors for t in (1, 2, 3)]
-        assert all(r.tobytes() == runs[0].tobytes() for r in runs)
-
-    @pytest.mark.parametrize(
-        "threads, M, cores, workers",
-        [(8, 5, 2, 2), (8, 3, 16, 3), (3, 5, 16, 3), (4, 5, None, None),
-         (4, 5, 1, None), (4, 1, 16, None)],
-    )
-    def test_workers_capped_at_cores_and_m(self, monkeypatch, threads, M,
-                                           cores, workers):
-        # workers = min(threads, M, cores); 1 (cpu_count unknown counts as 1)
-        # runs serially without a pool
-        import utilcal.ecdf as ecdf_mod
-
-        seen = []
-
-        class RecordingPool(ecdf_mod.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(ecdf_mod, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(ecdf_mod.os, "cpu_count", lambda: cores)
-        d, _ = gen_calibrated(200, 4, 3, seed=2)
-        res = ecdf_evaluate(d, "linear", M=M, seed=4, threads=threads)
-        assert seen == ([] if workers is None else [workers])
-        serial = ecdf_evaluate(d, "linear", M=M, seed=4)
-        assert np.array_equal(res.errors, serial.errors)
-
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_rows_grouped_once_per_call(self, monkeypatch, threads):
-        # the sample is grouped once and every worker's pool shares the law
-        import utilcal.ecdf as ecdf_mod
+    def test_rows_grouped_once_per_call(self, monkeypatch):
         from utilcal import estimators
 
         calls = []
@@ -118,9 +74,8 @@ class TestEcdfEvaluate:
             return grouped(probs)
 
         monkeypatch.setattr(estimators, "distinct_rows", counting)
-        monkeypatch.setattr(ecdf_mod.os, "cpu_count", lambda: 4)
         d, _ = gen_calibrated(400, 5, 3, seed=2)
-        res = ecdf_evaluate(d, "linear", M=40, seed=7, threads=threads)
+        res = ecdf_evaluate(d, "linear", M=40, seed=7)
         assert len(calls) == 1
         assert res.errors.shape == (40,)
 
@@ -134,10 +89,10 @@ class TestEcdfEvaluate:
         with pytest.raises(DomainError):
             ecdf_evaluate(perfect_predictor(), "decision", M=5, seed=0)
 
-    @pytest.mark.parametrize("threads", [0, -4])
-    def test_thread_count_below_one(self, threads):
-        with pytest.raises(DomainError, match="threads"):
-            ecdf_evaluate(perfect_predictor(), "linear", M=5, seed=0, threads=threads)
+    def test_delta_and_keep_utilities_keyword_only(self):
+        # an old positional worker count cannot bind to delta
+        with pytest.raises(TypeError):
+            ecdf_evaluate(perfect_predictor(), "linear", 5, 0, 2)
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, math.nan])
     def test_bad_delta_fails_before_the_sweep(self, monkeypatch, delta):

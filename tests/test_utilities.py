@@ -334,6 +334,30 @@ class TestSpecKey:
         }
         assert len(keys) == 8
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            UtilitySpec.linear,
+            UtilitySpec.rank,
+            lambda x: UtilitySpec.decision([x, x]),
+            lambda x: UtilitySpec.gain_matrix([[1.0, abs(x[1])], [abs(x[1]), 1.0]]),
+            lambda x: UtilitySpec.similarity([[1.0, x[1]], [x[1], 1.0]]),
+        ],
+        ids=["linear", "rank", "decision", "gain_matrix", "similarity"],
+    )
+    def test_equality_and_hash_follow_key(self, make):
+        a, b = make([0.5, -1.0]), make(np.array([0.5, -1.0]))
+        assert a == b and hash(a) == hash(b)
+        assert a != make([0.5, -0.75])
+        assert a != UtilitySpec.top_class() and a != a.key()
+
+    def test_patch_sequence_json_round_trip_compares_equal(self):
+        from utilcal.patching import PatchRecord, PatchSequence
+
+        rec = PatchRecord(UtilitySpec.linear([0.5, -1.0, 0.0]), 0.1, 0.4, -1, 0.25)
+        seq = PatchSequence((rec,), 3)
+        assert seq == PatchSequence.from_json_dict(seq.to_json_dict())
+
 
 class TestSpecValidation:
     def test_range_checks(self):
