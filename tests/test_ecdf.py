@@ -63,7 +63,8 @@ class TestEcdfEvaluate:
         assert res.cdf_at(res.errors[0]) == 1.0
         assert res.cdf_at(res.errors[0] - 1e-9) == 0.0
 
-    def test_rows_grouped_once_per_call(self, monkeypatch):
+    @pytest.mark.parametrize("n_calls", [1, 3])
+    def test_rows_grouped_once_per_call(self, monkeypatch, n_calls):
         from utilcal import estimators
 
         calls = []
@@ -75,9 +76,10 @@ class TestEcdfEvaluate:
 
         monkeypatch.setattr(estimators, "distinct_rows", counting)
         d, _ = gen_calibrated(400, 5, 3, seed=2)
-        res = ecdf_evaluate(d, "linear", M=40, seed=7)
-        assert len(calls) == 1
-        assert res.errors.shape == (40,)
+        for _ in range(n_calls):
+            res = ecdf_evaluate(d, "linear", M=40, seed=7)
+            assert res.errors.shape == (40,)
+        assert len(calls) == n_calls
 
     def test_errors_replayable_from_kept_utilities(self):
         d, _ = gen_calibrated(300, 4, 3, seed=5)
