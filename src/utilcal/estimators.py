@@ -281,16 +281,11 @@ def predicted_utility(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
 
 
 def realized_utility(
-    spec: UtilitySpec,
-    probs: np.ndarray,
-    labels: np.ndarray,
-    row_of: np.ndarray | None = None,
+    spec: UtilitySpec, probs: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
-    """Realized payoff u(p_i, e_{label_i}) for every label, label i paired
-    with row ``row_of[i]`` of ``probs`` when ``row_of`` is given (see
-    :func:`_member_payoffs`)."""
+    """Realized payoff u(p_i, e_{label_i}) for every row and its label."""
     labels = np.asarray(labels, dtype=np.int64)
-    return next(_member_payoffs(probs, [spec], labels, row_of))[2]
+    return next(_member_payoffs(probs, [spec], labels))[2]
 
 
 def payoff_matrix(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
@@ -769,23 +764,26 @@ def risk_gap_check(
     The risk uses the deviation loss |u_Y - t0| charged when the committed
     binary action disagrees with the ideal action 1{u_Y >= t0}.  On a finite
     support, monotone post-processing composed with the t0 threshold is
-    exactly a threshold rule in v, so the infimum is a minimum over the
-    rules 1{v >= s} for s in the support v values and the rule that commits
-    nowhere: 1{v > s} is 1{v >= s'} for the next value s' (or commits
-    nowhere), and committing everywhere is 1{v >= min v}.
+    exactly a threshold rule in v, and no threshold splits equal v values.
+    So the rules are "commit on the tie-merged blocks j and after" of the
+    v-sorted support (:func:`_merge_ties`), j = 0 ... B, where j = B commits
+    nowhere.  Each point costs its abstain sum (ideal commits) or its commit
+    sum (ideal abstains); rule j's risk is the prefix of the blocks'
+    abstain sums before j plus the suffix of their commit sums from j.
+    1{v >= t0} is the rule at the first block with v >= t0, so it lies in
+    the table, and the best monotone risk is the table's minimum.  Block
+    sums are bit-identical under support permutations, and so the risks.
     """
     if not -1.0 <= t0 <= 1.0:
         raise DomainError(f"t0 must be in [-1, 1], got {t0}")
     v, uvec, uc = _population_pass(dist, spec)
-    ideal = uvec >= t0
     cost = dist.weights[:, None] * dist.cond_label * np.abs(uvec - t0)
-
-    def rule_risk(decide: np.ndarray) -> float:
-        return float((cost * (decide[:, None] != ideal)).sum())
-
-    risk_v = rule_risk(v >= t0)
-    rules = [v >= s for s in np.unique(v)] + [np.zeros(dist.S, dtype=bool)]
-    risk_best = min(rule_risk(d) for d in rules)
+    ideal = uvec >= t0
+    block_v, abstain = _merge_ties(v, np.where(ideal, cost, 0.0).sum(axis=1))
+    commit = _merge_ties(v, np.where(ideal, 0.0, cost).sum(axis=1))[1]
+    risk = np.concatenate(([0.0], np.cumsum(abstain)))
+    risk += np.concatenate((np.cumsum(commit[::-1])[::-1], [0.0]))
+    risk_v, risk_best = float(risk[np.searchsorted(block_v, t0)]), float(risk.min())
     return RiskGapResult(
         risk_v=risk_v,
         risk_best_monotone=risk_best,

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from utilcal import (
     BinScheme,
     DomainError,
+    FiniteDistribution,
     GuardError,
     LabeledPredictions,
     UtilitySpec,
@@ -72,8 +75,6 @@ def random_dist(rng, S, C):
     q /= q.sum(axis=1, keepdims=True)
     w = -np.log1p(-rng.random(S))
     w /= w.sum()
-    from utilcal import FiniteDistribution
-
     return FiniteDistribution(sup, w, q)
 
 
@@ -554,7 +555,9 @@ class TestStackedProducts:
         law = group_sample(d)
         for spec, (v, r) in zip(pool, scored):
             want_v = predicted_utility(spec, law.points)
-            want_r = realized_utility(spec, law.points, law.labels, row_of=law.row_of)
+            want_r = next(
+                estimators._member_payoffs(law.points, [spec], law.labels, law.row_of)
+            )[2]
             if tied:
                 want_r -= want_v[law.row_of]
                 want_r = np.bincount(law.row_of, law.counts * want_r, len(law.points))
@@ -1316,18 +1319,29 @@ def acceptance_population(base, s, max_support=6):
     return dist, spec, rng
 
 
-def all_threshold_rules_risk(dist, spec, t0):
-    """(risk_v, risk_best_monotone) with the minimum over all 2U + 2
-    enumerated rules: 1{v >= s} and 1{v > s} for each of the U support
-    values s, all ones and all zeros."""
+def exact_threshold_rules_risk(dist, spec, t0):
+    """(risk_v, risk_best_monotone) in exact Fraction arithmetic on the
+    law's float inputs, with the minimum over all 2U + 2 enumerated rules:
+    1{v >= s} and 1{v > s} for each of the U support values s, all ones and
+    all zeros."""
     v = predicted_utility(spec, dist.support)
     uvec = payoff_matrix(spec, dist.support)
     ideal = uvec >= t0
-    mass = dist.weights[:, None] * dist.cond_label
-    penalty = np.abs(uvec - t0)
+    cost = [
+        [
+            Fraction(dist.weights[i]) * Fraction(dist.cond_label[i, y])
+            * abs(Fraction(uvec[i, y]) - Fraction(t0))
+            for y in range(dist.C)
+        ]
+        for i in range(dist.S)
+    ]
 
     def rule_risk(decide):
-        return float((mass * penalty * (decide[:, None] != ideal)).sum())
+        return sum(
+            (cost[i][y] for i in range(dist.S) for y in range(dist.C)
+             if decide[i] != ideal[i, y]),
+            Fraction(0),
+        )
 
     rules = [np.ones(dist.S, dtype=bool), np.zeros(dist.S, dtype=bool)]
     for s in np.unique(v):
@@ -1419,21 +1433,65 @@ class TestRiskGap:
             t0 = float(rng.uniform(-1, 1))
             assert risk_gap_check(dist, spec, t0).holds
 
-    def test_t0_domain(self):
+    @pytest.mark.parametrize("t0", [1.5, -1.5, float("nan")])
+    def test_t0_domain(self, t0):
         with pytest.raises(DomainError):
-            risk_gap_check(two_point_distribution(), UtilitySpec.top_class(), 1.5)
+            risk_gap_check(two_point_distribution(), UtilitySpec.top_class(), t0)
+
+    @pytest.mark.parametrize("calibrated", [True, False])
+    def test_fields_are_python_scalars(self, calibrated):
+        dist = (
+            gen_calibrated(10, 3, 4, seed=6)[1] if calibrated
+            else two_point_distribution()
+        )
+        res = risk_gap_check(dist, UtilitySpec.top_class(), 0.5)
+        assert (res.uc == 0.0) == calibrated
+        fields = [type(x) for x in dataclasses.astuple(res)]
+        assert fields == [float, float, float, bool]
+        json.dumps(dataclasses.asdict(res))
 
     def test_distinct_rules_give_the_minimum_over_all_rules(self):
-        # bit for bit, on the populations of acceptance criteria 05 and 06
+        # against exact arithmetic, on the populations of acceptance criteria
+        # 05 and 06 and on the two-point law with t0 at a support point's v
+        cases = []
+        for base in (77, 78):
+            for s in range(200):
+                dist, spec, rng = acceptance_population(base, s)
+                cases.append((dist, spec, float(rng.uniform(-1, 1))))
+        cases.append((two_point_distribution(), UtilitySpec.top_class(), 0.45))
+        assert predicted_utility(cases[-1][1], cases[-1][0].support)[0] == 0.45
+        for dist, spec, t0 in cases:
+            res = risk_gap_check(dist, spec, t0)
+            want_v, want_best = exact_threshold_rules_risk(dist, spec, t0)
+            assert abs(Fraction(res.risk_v) - want_v) <= 1e-15
+            assert abs(Fraction(res.risk_best_monotone) - want_best) <= 1e-15
+            assert res.uc == population_uc(dist, spec)
+            exact_holds = want_v - want_best <= 2 * Fraction(res.uc) + Fraction(1e-12)
+            assert res.holds == exact_holds
+
+    def test_risks_bit_identical_under_support_permutation(self):
         for base in (77, 78):
             for s in range(200):
                 dist, spec, rng = acceptance_population(base, s)
                 t0 = float(rng.uniform(-1, 1))
-                res = risk_gap_check(dist, spec, t0)
-                want_v, want_best = all_threshold_rules_risk(dist, spec, t0)
-                assert res.risk_v == want_v
-                assert res.risk_best_monotone == want_best
-                assert res.uc == population_uc(dist, spec)
+                p = rng.permutation(dist.S)
+                moved = FiniteDistribution(
+                    dist.support[p], dist.weights[p], dist.cond_label[p]
+                )
+                assert risk_gap_check(moved, spec, t0) == risk_gap_check(dist, spec, t0)
+
+    def test_large_support_is_fast(self):
+        # every rule's risk from one sorted block table, not one pass per rule
+        rng = np.random.default_rng(4000)
+        dist = random_dist(rng, 4000, 10)
+        spec = UtilitySpec.top_class()
+        best = np.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            res = risk_gap_check(dist, spec, 0.3)
+            best = min(best, time.perf_counter() - start)
+        assert res.holds
+        assert best < 0.05
 
 
 class TestDcuBound:
