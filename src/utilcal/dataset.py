@@ -9,6 +9,8 @@ guarantee checks in :mod:`utilcal.estimators` rely on.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 import sys
 import warnings
@@ -32,6 +34,56 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
     out.setflags(write=False)
     return out
+
+
+def as_float(name: str, value) -> float:
+    """``value`` as a float; a bool or a non-real value (JSON ``"0.2"``,
+    ``true``) is a TypeError, and an integer past the float range is +-inf
+    as JSON's ``1e400`` is."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def json_floats(name: str, value):
+    """A JSON number, or an array of them nested to any depth, with every
+    entry read by :func:`as_float`: a string, boolean or null entry is a
+    TypeError."""
+    if isinstance(value, list):
+        if set(map(type, value)) <= {float}:  # nothing to check or convert
+            return value
+        return [json_floats(name, item) for item in value]
+    return as_float(f"{name} entry", value)
+
+
+def _first_close_pair(points: np.ndarray) -> tuple[int, int] | None:
+    """The lexicographically smallest pair (i, j), i < j, of simplex rows
+    within EXACT_TOL of each other in max norm, or None.
+
+    One stable sort of the rows' projections on the fixed direction
+    d_k = cos(k + 1), which no support's structure shares (a zero column
+    would tie every row): a close pair projects within |d|_1 * EXACT_TOL,
+    and a computed projection of a simplex row is within about C * eps of
+    the exact one, so each row is compared only with the rows that follow
+    it within that reach, widened by 4 (C + 1) eps.  Too wide a reach costs
+    comparisons, never pairs: every candidate still passes the max-norm test.
+    """
+    c = points.shape[1]
+    direction = np.cos(np.arange(1.0, c + 1.0))
+    reach = np.abs(direction).sum() * EXACT_TOL + 4 * (c + 1) * np.finfo(float).eps
+    proj = points @ direction
+    order = np.argsort(proj, kind="stable")
+    ends = np.searchsorted(proj[order], proj[order] + reach, side="right")
+    pos, step, pairs = np.arange(points.shape[0]), 1, []
+    while (pos := pos[pos + step < ends[pos]]).size:  # rows `step` sorted places apart
+        a, b = order[pos], order[pos + step]
+        near = np.max(np.abs(points[a] - points[b]), axis=1) <= EXACT_TOL
+        pairs += zip(np.minimum(a, b)[near].tolist(), np.maximum(a, b)[near].tolist())
+        step += 1
+    return min(pairs, default=None)
 
 
 @dataclass(frozen=True)
@@ -110,7 +162,9 @@ class FiniteDistribution:
     ``support[s]`` is a prediction vector, ``weights[s]`` its probability,
     and ``cond_label[s]`` the conditional label law at that point.  All
     invariants are enforced to within 1e-12 because these objects are built
-    internally in double precision.
+    internally in double precision; support points within 1e-12 in every
+    coordinate are one point, and the error names the lexicographically
+    smallest such pair, found in one sorted sweep (:func:`_first_close_pair`).
     """
 
     support: np.ndarray
@@ -137,15 +191,9 @@ class FiniteDistribution:
                 and np.all(np.abs(rows.sum(axis=1) - 1.0) <= EXACT_TOL)
             ):
                 raise DomainError(f"{name} rows must be simplex points")
-        # one comparison of each point against all later ones, so the first
-        # offending pair (i, j) is the lexicographically smallest
-        for i in range(s - 1):
-            gaps = np.max(np.abs(support[i + 1 :] - support[i]), axis=1)
-            close = np.flatnonzero(gaps <= EXACT_TOL)
-            if close.size:
-                raise DomainError(
-                    f"support points {i} and {i + 1 + close[0]} are not distinct"
-                )
+        pair = _first_close_pair(support)
+        if pair:
+            raise DomainError(f"support points {pair[0]} and {pair[1]} are not distinct")
         object.__setattr__(self, "support", _freeze(support))
         object.__setattr__(self, "weights", _freeze(weights))
         object.__setattr__(self, "cond_label", _freeze(cond))
@@ -168,7 +216,8 @@ class FiniteDistribution:
     @classmethod
     def from_json_dict(cls, d: dict) -> "FiniteDistribution":
         try:
-            return cls(d["support"], d["weights"], d["cond_label"])
+            parts = ("support", "weights", "cond_label")
+            return cls(*(json_floats(name, d[name]) for name in parts))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed distribution JSON: {exc!r}") from exc
 

@@ -804,20 +804,28 @@ def dcu_bound_check(dist: FiniteDistribution, spec: UtilitySpec) -> DcuBoundResu
 
     Bins [-1, 1] at width sqrt(2*UC), takes the bin-conditional mean
     realized utility g_W, and verifies E|g_W - v| <= 2*sqrt(2*UC) + UC.
-    Only the bins that hold a support point are built, whatever the width.
+    The sums run over the v-sorted, tie-merged support blocks
+    (:func:`_merge_ties`): each block's mass sum(w) and gain sum(w*E[u]).
+    A block's cell clip((v + 1) // width) never decreases with v, so a bin
+    is a run of consecutive blocks and only the occupied bins are built,
+    whatever the width.  E|g_W - v| = sum_b W_b*|g - v_b| adds the blocks
+    in ascending v, so every field is bit-identical under support
+    permutations.
     """
     v, uvec, uc = _population_pass(dist, spec)
     if uc <= 0.0:
         return DcuBoundResult(dcu_upper=0.0, bound=0.0, holds=True)
-    expected_u = np.einsum("ij,ij->i", dist.cond_label, uvec)
+    w = dist.weights
+    block_v, mass = _merge_ties(v, w)
+    gain = _merge_ties(v, w * np.einsum("ij,ij->i", dist.cond_label, uvec))[1]
 
     width = float(np.sqrt(2.0 * uc))
-    # bin indices as floats: cast to an integer type, they overflow for tiny widths
-    cell = np.clip((v + 1.0) // width, 0.0, np.ceil(2.0 / width) - 1.0)
-    bin_of = np.unique(cell, return_inverse=True)[1]
-    w = dist.weights  # per-bin sums add in support order
-    g = np.bincount(bin_of, w * expected_u) / np.bincount(bin_of, w)
-    dcu_upper = float(np.sum(w * np.abs(g[bin_of] - v)))
+    # cells as floats: cast to an integer type, they overflow for tiny widths
+    cell = np.clip((block_v + 1.0) // width, 0.0, np.ceil(2.0 / width) - 1.0)
+    starts = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
+    g = np.add.reduceat(gain, starts) / np.add.reduceat(mass, starts)
+    g = np.repeat(g, np.diff(starts, append=cell.size))
+    dcu_upper = float(np.sum(mass * np.abs(g - block_v)))
     bound = 2.0 * width + uc  # Python floats, as in the uc <= 0 branch
     return DcuBoundResult(
         dcu_upper=dcu_upper, bound=bound, holds=dcu_upper <= bound + 1e-12

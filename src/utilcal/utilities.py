@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dataset import derive_rng, read_json  # noqa: F401 (derive_rng re-exported)
+from .dataset import as_float, derive_rng, json_floats, read_json  # noqa: F401 (derive_rng re-exported)
 from .errors import DomainError, ParseError
 
 DCG_GAMMA_GRID = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
@@ -29,18 +29,6 @@ def as_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return int(value)
-
-
-def as_float(name: str, value) -> float:
-    """``value`` as a float; a bool or a non-real value (JSON ``"0.2"``,
-    ``true``) is a TypeError, and an integer past the float range is +-inf
-    as JSON's ``1e400`` is."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -255,8 +243,9 @@ class UtilitySpec:
                 f"unknown parameter(s) {', '.join(map(repr, unknown))} for utility "
                 f"family {fam!r} (expected {list(FAMILY_PARAMS[fam])})"
             )
-        try:
-            return cls(fam, **params)
+        arrays = {n for n, rule in FAMILY_PARAMS[fam].items() if isinstance(rule, BoundedArray)}
+        try:  # every entry of an array must be a JSON number, as a scalar must
+            return cls(fam, **{n: json_floats(n, x) if n in arrays else x for n, x in params.items()})
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad {fam} parameters: {exc}") from exc
 

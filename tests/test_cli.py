@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -67,8 +68,15 @@ class TestSynth:
 
     @pytest.mark.parametrize(
         "spec",
-        [[1], {"support": [[0.5, 0.5]], "weights": "x", "cond_label": [[0.5, 0.5]]}],
-        ids=["list", "weights-x"],
+        [
+            [1],
+            {"support": [[0.5, 0.5]], "weights": "x", "cond_label": [[0.5, 0.5]]},
+            # numpy read these entries as 0.5 and 1.0 / 0.0
+            {"support": [["0.5", 0.5]], "weights": [1], "cond_label": [[0.5, 0.5]]},
+            {"support": [[0.5, 0.5]], "weights": ["1"], "cond_label": [[0.5, 0.5]]},
+            {"support": [[True, False]], "weights": [1], "cond_label": [[1, 0]]},
+        ],
+        ids=["list", "weights-x", "support-string", "weights-string", "support-bool"],
     )
     def test_miscalibrated_malformed_spec_exit_3(self, tmp_path, capsys, spec):
         spec_path = tmp_path / "dist.json"
@@ -77,6 +85,23 @@ class TestSynth:
                    "--n", "10", "--out", str(tmp_path / "m")])
         assert rc == 3
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    def test_integer_past_float_range_exit_2(self, tmp_path, capsys):
+        # read as inf, as JSON's 1e400 is, not an OverflowError traceback
+        spec = {"support": [[10**400, 0]], "weights": [1], "cond_label": [[1, 0]]}
+        spec_path = tmp_path / "dist.json"
+        spec_path.write_text(json.dumps(spec))
+        rc = main(["synth", "miscalibrated", "--spec", str(spec_path),
+                   "--n", "10", "--out", str(tmp_path / "m")])
+        assert rc == 2
+        assert "simplex" in capsys.readouterr().err
+
+    def test_calibrated_large_support(self, tmp_path):
+        start = time.perf_counter()
+        rc = main(["synth", "calibrated", "--n", "1000", "--classes", "10",
+                   "--support", "100000", "--out", str(tmp_path / "c")])
+        assert rc == 0
+        assert time.perf_counter() - start < 60.0
 
     def test_bad_n_per_group_exit_2(self, tmp_path):
         rc = main(["synth", "two-point", "--n-per-group", "30",
@@ -237,6 +262,13 @@ class TestEvaluateCmd:
             ({"family": "dcg", "params": {"gamma": 10**400}}, 2),
             ({"params": {}}, 3),
             ({"family": "top_j"}, 3),
+            # each array entry is read as a scalar is; numpy read "0.5" and
+            # true as 0.5 and 1.0
+            ({"family": "linear", "params": {"a": ["0.5", 0.0, 0.0]}}, 3),
+            ({"family": "linear", "params": {"a": [0.5, True, 0.0]}}, 3),
+            ({"family": "linear", "params": {"a": "0.5"}}, 3),
+            ({"family": "decision", "params": {"loss": [[0, 1], [1, None]]}}, 3),
+            ({"family": "linear", "params": {"a": [10**400, 0.0, 0.0]}}, 2),
         ],
     )
     def test_bad_utility_json_params(self, two_point_files, tmp_path, capsys, params, code):

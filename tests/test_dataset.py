@@ -3,6 +3,7 @@ import json
 import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from utilcal import (
     validate,
 )
 from utilcal.dataset import (
+    EXACT_TOL,
     _load_distinct_rows,
     derive_rng,
     load_distribution_json,
@@ -321,6 +323,36 @@ class TestFiniteDistributionChecks:
         ])
         with pytest.raises(DomainError, match="support points 1 and 6 are not distinct"):
             FiniteDistribution(support, np.full(9, 1 / 9), support)
+
+    @pytest.mark.parametrize("gap, distinct", [(EXACT_TOL, False), (2 * EXACT_TOL, True)])
+    def test_tolerance_edge(self, gap, distinct):
+        # a pair exactly EXACT_TOL apart in max norm is one point, as `<=` has it
+        support = np.array([[0.2, 0.3, 0.5], [0.0, 0.25, 0.75], [gap, 0.25, 0.75 - gap]])
+        assert np.max(np.abs(support[1] - support[2])) == gap
+        if distinct:
+            assert FiniteDistribution(support, np.full(3, 1 / 3), support).S == 3
+        else:
+            with pytest.raises(DomainError, match="support points 1 and 2 are not distinct"):
+                FiniteDistribution(support, np.full(3, 1 / 3), support)
+
+    def test_duplicate_far_apart_named(self):
+        rng = np.random.default_rng(5)
+        support = rng.dirichlet(np.ones(4), size=5000)
+        support[4321] = support[17]
+        with pytest.raises(DomainError, match="support points 17 and 4321 are not distinct"):
+            FiniteDistribution(support, np.full(5000, 1 / 5000), support)
+
+    def test_zero_first_column_is_fast(self):
+        # every point ties in the first coordinate, so a sweep sorted by it
+        # would compare all 2e8 pairs
+        S = 20_000
+        rng = np.random.default_rng(S)
+        support = np.zeros((S, 10))
+        support[:, 1:] = rng.dirichlet(np.ones(9), size=S)
+        start = time.perf_counter()
+        dist = FiniteDistribution(support, np.full(S, 1 / S), support)
+        assert time.perf_counter() - start < 2.0
+        assert dist.S == S
 
     @pytest.mark.parametrize("field", ["support", "weights", "cond_label"])
     def test_nan_rejected(self, field):

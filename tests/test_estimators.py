@@ -1350,8 +1350,9 @@ def exact_threshold_rules_risk(dist, spec, t0):
 
 
 def dense_grid_dcu(dist, spec):
-    """dcu_upper over one bin per width-sqrt(2 UC) cell of [-1, 1], occupied
-    or not; None when UC is 0 or the grid has more than 1e6 cells."""
+    """dcu_upper in exact Fraction arithmetic on the law's floats, over one
+    bin per width-sqrt(2 UC) cell of [-1, 1], occupied or not; None when UC
+    is 0 or the grid has more than 1e6 cells."""
     uc = population_uc(dist, spec)
     width = np.sqrt(2.0 * uc)
     if uc <= 0.0 or np.ceil(2.0 / width) > 1e6:
@@ -1362,12 +1363,16 @@ def dense_grid_dcu(dist, spec):
     )
     n_bins = int(np.ceil(2.0 / width))
     bin_of = np.clip(((v + 1.0) // width).astype(np.int64), 0, n_bins - 1)
-    mass = np.bincount(bin_of, weights=dist.weights, minlength=n_bins)
-    num = np.bincount(bin_of, weights=dist.weights * expected_u, minlength=n_bins)
-    occupied = mass > 0
-    g = np.zeros(n_bins)
-    g[occupied] = num[occupied] / mass[occupied]
-    return float(np.sum(dist.weights * np.abs(g[bin_of] - v)))
+    mass = [Fraction(0)] * n_bins
+    num = [Fraction(0)] * n_bins
+    for s, b in enumerate(bin_of):
+        mass[b] += Fraction(dist.weights[s])
+        num[b] += Fraction(dist.weights[s]) * Fraction(expected_u[s])
+    return sum(
+        (Fraction(dist.weights[s]) * abs(num[b] / mass[b] - Fraction(v[s]))
+         for s, b in enumerate(bin_of)),
+        Fraction(0),
+    )
 
 
 class TestPopulationUc:
@@ -1532,8 +1537,8 @@ class TestDcuBound:
         json.dumps(dataclasses.asdict(res))
 
     def test_occupied_bins_match_the_dense_grid(self):
-        # bit for bit, on the populations of acceptance criteria 05 and 06
-        # whose grid has at most 1e6 cells
+        # against exact arithmetic, on the populations of acceptance criteria
+        # 05 and 06 whose grid has at most 1e6 cells
         compared = 0
         for base in (77, 78):
             for s in range(200):
@@ -1543,11 +1548,55 @@ class TestDcuBound:
                     continue
                 res = dcu_bound_check(dist, spec)
                 uc = population_uc(dist, spec)
-                assert res.dcu_upper == want
+                assert abs(Fraction(res.dcu_upper) - want) <= 1e-15
                 assert res.bound == 2.0 * np.sqrt(2.0 * uc) + uc
-                assert res.holds == (want <= res.bound + 1e-12)
+                assert res.holds == (want <= Fraction(res.bound) + Fraction(1e-12))
                 compared += 1
         assert compared >= 300
+
+    def test_population_fields_bit_identical_under_support_permutation(self):
+        # every sum runs over v-sorted tie blocks, so no field sees the order
+        for base in (77, 78):
+            for s in range(200):
+                dist, spec, rng = acceptance_population(base, s)
+                t0 = float(rng.uniform(-1, 1))
+                p = np.random.default_rng(1000 + s).permutation(dist.S)
+                moved = FiniteDistribution(
+                    dist.support[p], dist.weights[p], dist.cond_label[p]
+                )
+                assert population_uc(moved, spec) == population_uc(dist, spec)
+                assert risk_gap_check(moved, spec, t0) == risk_gap_check(dist, spec, t0)
+                assert dcu_bound_check(moved, spec) == dcu_bound_check(dist, spec)
+
+    def test_tied_blocks_share_a_bin(self):
+        # points of one v in one block, mass and gain summed; the two-point
+        # law doubled by splitting each point's mass over a twin at equal v
+        base = two_point_distribution()
+        spec = UtilitySpec.top_class()
+        want = dcu_bound_check(base, spec)
+        swap = base.support[:, [1, 0, 2]]  # same top-class v, another point
+        twins = FiniteDistribution(
+            np.vstack([base.support, swap]),
+            np.concatenate([base.weights, base.weights]) / 2,
+            np.vstack([base.cond_label, base.cond_label[:, [1, 0, 2]]]),
+        )
+        got = dcu_bound_check(twins, spec)
+        assert got.bound == pytest.approx(want.bound, abs=1e-15)
+        assert got.dcu_upper == pytest.approx(want.dcu_upper, abs=1e-15)
+
+    def test_large_support_end_to_end(self):
+        # build and check a law of 1e5 points; a pairwise distinctness check
+        # alone would grow as S^2 * C
+        rng = np.random.default_rng(100_000)
+        start = time.perf_counter()
+        dist = random_dist(rng, 100_000, 10)
+        spec = UtilitySpec.top_class()
+        uc = population_uc(dist, spec)
+        gap = risk_gap_check(dist, spec, 0.3)
+        dcu = dcu_bound_check(dist, spec)
+        assert time.perf_counter() - start < 10.0
+        assert gap.uc == uc > 0.0
+        assert gap.holds and dcu.holds
 
     def test_rounding_residue_uc_builds_no_grid(self):
         # top_k(C) pays 1 on every class, so UC is a rounding residue and the
