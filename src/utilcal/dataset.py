@@ -53,8 +53,6 @@ def json_floats(name: str, value):
     entry read by :func:`as_float`: a string, boolean or null entry is a
     TypeError."""
     if isinstance(value, list):
-        if set(map(type, value)) <= {float}:  # nothing to check or convert
-            return value
         return [json_floats(name, item) for item in value]
     return as_float(f"{name} entry", value)
 
@@ -67,23 +65,40 @@ def _first_close_pair(points: np.ndarray) -> tuple[int, int] | None:
     d_k = cos(k + 1), which no support's structure shares (a zero column
     would tie every row): a close pair projects within |d|_1 * EXACT_TOL,
     and a computed projection of a simplex row is within about C * eps of
-    the exact one, so each row is compared only with the rows that follow
-    it within that reach, widened by 4 (C + 1) eps.  Too wide a reach costs
-    comparisons, never pairs: every candidate still passes the max-norm test.
+    the exact one, so each row's window, the sorted places within that
+    reach of its own widened by 4 (C + 1) eps, holds every close partner.
+    Too wide a reach costs comparisons, never pairs: every candidate still
+    passes the max-norm test.  Rows are checked against their windows in
+    index order, about S comparisons at a time, and the sweep stops at the
+    first row with a partner: that row is i, since an earlier partner would
+    have been found first, and j is its smallest partner.  Memory stays
+    O(S C) however many rows coincide.
     """
-    c = points.shape[1]
+    s, c = points.shape
     direction = np.cos(np.arange(1.0, c + 1.0))
     reach = np.abs(direction).sum() * EXACT_TOL + 4 * (c + 1) * np.finfo(float).eps
     proj = points @ direction
     order = np.argsort(proj, kind="stable")
-    ends = np.searchsorted(proj[order], proj[order] + reach, side="right")
-    pos, step, pairs = np.arange(points.shape[0]), 1, []
-    while (pos := pos[pos + step < ends[pos]]).size:  # rows `step` sorted places apart
-        a, b = order[pos], order[pos + step]
-        near = np.max(np.abs(points[a] - points[b]), axis=1) <= EXACT_TOL
-        pairs += zip(np.minimum(a, b)[near].tolist(), np.maximum(a, b)[near].tolist())
-        step += 1
-    return min(pairs, default=None)
+    ranked = proj[order]
+    rank = np.empty(s, dtype=np.intp)
+    rank[order] = np.arange(s)
+    lo = np.searchsorted(ranked, ranked - reach, side="left")[rank]
+    width = np.searchsorted(ranked, ranked + reach, side="right")[rank] - lo
+    seen = np.concatenate(([0], np.cumsum(width)))  # comparisons before row i
+    start = 0
+    while start < s:
+        stop = max(start + 1, int(np.searchsorted(seen, seen[start] + s, side="right")) - 1)
+        row = np.repeat(np.arange(start, stop), width[start:stop])
+        shift = np.repeat(seen[start:stop] - lo[start:stop], width[start:stop])
+        partner = order[np.arange(seen[start], seen[stop]) - shift]
+        near = (partner != row) & (
+            np.max(np.abs(points[partner] - points[row]), axis=1) <= EXACT_TOL
+        )
+        if near.any():
+            i = row[near][0]
+            return int(i), int(partner[near & (row == i)].min())
+        start = stop
+    return None
 
 
 @dataclass(frozen=True)

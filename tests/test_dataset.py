@@ -354,6 +354,16 @@ class TestFiniteDistributionChecks:
         assert time.perf_counter() - start < 2.0
         assert dist.S == S
 
+    def test_many_coincident_rows_named_fast(self):
+        # every row is one point, so every row's window holds the whole
+        # support: the first row with a partner ends the sweep
+        S = 20_000
+        support = np.tile([0.1, 0.2, 0.3, 0.4], (S, 1))
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="support points 0 and 1 are not distinct"):
+            FiniteDistribution(support, np.full(S, 1 / S), support)
+        assert time.perf_counter() - start < 2.0
+
     @pytest.mark.parametrize("field", ["support", "weights", "cond_label"])
     def test_nan_rejected(self, field):
         # each tolerance test is written so that NaN fails it (an infinite
