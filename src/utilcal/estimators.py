@@ -44,11 +44,11 @@ from .utilities import (
 #   "rank":   uvec(p)_j = theta[rank of class j in p - 1], ranks under (-p_j, j),
 #             so v = sort(p, descending) @ theta; top_k's theta is 1{r <= k};
 #   "dense":  uvec(p) = p @ S.
-# Only _member_payoffs and payoff_matrix branch on the form.  The "column"
-# form's matrices, the "rank" form's thetas and payoff_matrix's S go through
-# the tiled product of _column_products, the thetas on sorted row blocks: a
-# pool reads each row block once per tile of members, and a lone member pays
-# a whole tile.
+# Only _member_payoffs and payoff_matrix branch on the form.  Every matrix
+# payoff, the "column" form's matrices, the "rank" form's thetas and the
+# "dense" form's S, goes through the tiled product of _column_products, the
+# thetas on sorted row blocks: a pool reads each row block once per tile of
+# members, and a lone member pays a whole tile.
 # family -> (form, builder of G, c, theta or S from (spec, C))
 _FORMS = {
     "top_class": ("max", lambda spec, C: None),
@@ -125,8 +125,8 @@ def _label_ranks(
 def _column_products(
     probs: np.ndarray, G: np.ndarray, sort_rows: bool = False
 ) -> np.ndarray:
-    """The K columns of ``probs @ G`` as the rows of a K x n array, so each
-    column is contiguous.
+    """The K columns of the matrix product of ``probs`` and ``G`` as the rows
+    of a K x n array, so each column is contiguous.
 
     Every matrix product is one block of at most _ROW_BLOCK rows times
     exactly _TILE columns of G, the last tile padded with zero columns.
@@ -209,8 +209,11 @@ def _member_payoffs(
     from the same product; the rank members' payoffs read the true-class
     label ranks, counted once.  A member's bits do not depend on the rest
     of ``specs`` or on the chunking.  The "max", "unit" and "dense" members
-    follow, one at a time.  A chunk goes after its last member, and no
-    temporary of a member outlives it, so a pass holds one chunk at a time.
+    follow, one at a time: the first two read their one-hot payoff from the
+    rows, and a dense member takes its products one row block at a time
+    (:func:`_dense_payoffs`).  A chunk goes after its last member, and no
+    temporary of a member outlives it, so a pass holds one chunk, or one
+    dense member's block of payoffs, at a time.
     """
     probs = np.asarray(probs, dtype=np.float64)
     n, C = probs.shape
@@ -245,34 +248,45 @@ def _member_payoffs(
                 yield key, rows.max(axis=0) if wide else rows[0].copy(), u
             del prods, rows  # the chunk goes before the next one is computed
     for key, (form, param) in forms.items():
-        if form in ("max", "unit", "dense"):
-            yield key, *_lone_payoffs(form, param, probs, labels, row_of)
+        if form == "dense":
+            yield key, *_dense_payoffs(probs, param, labels, row_of)
+        elif form in ("max", "unit"):
+            if form == "max":  # the row maximum, read at the first argmax
+                hit = _row_argmax(probs)
+                v = probs[np.arange(n), hit]
+                hit = hit[at]
+            else:  # + 0.0 reads a -0.0 entry as 0.0, as p @ e_c does
+                hit, v = param, probs[:, param] + 0.0
+            yield key, v, None if labels is None else (labels == hit).astype(np.float64)
+            del hit, v
 
 
-def _lone_payoffs(
-    form: str,
-    param: np.ndarray | int | None,
-    probs: np.ndarray,
-    labels: np.ndarray | None,
-    row_of: np.ndarray | None,
+def _dense_payoffs(
+    probs: np.ndarray, S: np.ndarray, labels: np.ndarray | None, row_of: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """(v, u) of a "max", "unit" or "dense" member for
-    :func:`_member_payoffs`; its argmax or n x C payoffs go on return."""
-    if form == "max":  # the row maximum, read at the first argmax
-        best = _row_argmax(probs)
-        v = probs[np.arange(len(probs)), best]
-        hit = best if row_of is None else best[row_of]
-    elif form == "unit":  # + 0.0 reads a -0.0 entry as 0.0, as p @ e_c does
-        v = probs[:, param] + 0.0
-        hit = param
-    else:
-        payoffs = probs @ param
-        v = np.einsum("ij,ij->i", probs, payoffs)
-    if labels is None:
-        return v, None
-    if form == "dense":
-        return v, payoffs[np.arange(len(labels)) if row_of is None else row_of, labels]
-    return v, (labels == hit).astype(np.float64)  # the one-hot payoff
+    """(v, u) of a "dense" member for :func:`_member_payoffs`: v = <p, p @ S>
+    and u = (p @ S)[label], both read from one :func:`_column_products`
+    call per :func:`_row_blocks` block, so a row gets the payoff bits that
+    :func:`payoff_matrix` gives it and the pass holds one block's payoffs.
+    A label is read from its own row's block: the labels of a block are one
+    run of a stable argsort of their rows."""
+    n = len(probs)
+    v, u = np.empty(n), None
+    bounds = _row_blocks(n)
+    if labels is not None:
+        u = np.empty(len(labels))
+        rows = np.arange(len(labels)) if row_of is None else row_of
+        order = np.argsort(rows, kind="stable")
+        runs = np.searchsorted(rows[order], bounds)
+    for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        block = probs[lo:hi]
+        payoffs = _column_products(block, S)  # C x (hi - lo): row i's is column i - lo
+        v[lo:hi] = np.einsum("ij,ji->i", block, payoffs)
+        if u is not None:
+            pairs = order[runs[b] : runs[b + 1]]
+            u[pairs] = payoffs[labels[pairs], rows[pairs] - lo]
+        del payoffs  # the block's payoffs go before the next block's
+    return v, u
 
 
 def predicted_utility(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
@@ -302,13 +316,9 @@ def payoff_matrix(spec: UtilitySpec, probs: np.ndarray) -> np.ndarray:
         if param.shape[1] == 1:
             return np.broadcast_to(param[:, 0], (n, C)).copy()
         return param[:, _column_products(probs, param).argmax(axis=0)].T
-    if form == "max":
+    if form in ("max", "unit"):  # the one-hot payoff
         out = np.zeros((n, C))
-        out[np.arange(n), _row_argmax(probs)] = 1.0
-        return out
-    if form == "unit":
-        out = np.zeros((n, C))
-        out[:, param] = 1.0
+        out[np.arange(n), _row_argmax(probs) if form == "max" else param] = 1.0
         return out
     if form == "rank":  # theta[r - 1] goes to the class ranked r
         out = np.empty((n, C))

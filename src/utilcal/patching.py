@@ -217,20 +217,6 @@ def find_worst_witness(
     return _worst_member(data, pool)[:2]
 
 
-def _masked_payoff(
-    points: np.ndarray, v: np.ndarray, spec: UtilitySpec, lo: float, hi: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the points whose predicted utility ``v`` lies in [lo, hi], and
-    the payoff vectors of ``spec`` at those points.
-
-    The points are distinct rows, so equal rows get the same move.  ``fit``
-    passes the v its witness pass computed, in the order the estimator's
-    blocks were built from.
-    """
-    hit = (v >= lo) & (v <= hi)
-    return hit, payoff_matrix(spec, points[hit])
-
-
 def _apply_record_rows(
     points: np.ndarray, rec: PatchRecord, mask: np.ndarray, uvec: np.ndarray | None = None
 ) -> np.ndarray:
@@ -241,10 +227,10 @@ def _apply_record_rows(
     The masked rows move one block of :func:`_row_blocks` at a time: the
     block is gathered, takes its payoff vectors, steps, is projected and is
     written back, so the pass holds block-sized temporaries.  ``uvec``, when
-    given, holds the masked rows' payoff vectors (:func:`_masked_payoff`),
-    and each block reads its slice.  Otherwise each block computes its own;
-    the bits are those of one call over the whole mask, since the payoff
-    forms are row-wise and the products are split by the same blocks.
+    given, holds the masked rows' payoff vectors, and each block reads its
+    slice.  Otherwise each block computes its own; the bits are those of one
+    call over the whole mask, since the payoff forms are row-wise and the
+    products are split by the same blocks.
     """
     rows = np.flatnonzero(mask)
     step = rec.step * rec.sign
@@ -333,7 +319,8 @@ def fit(
         if err <= epsilon:
             break
         lo, hi = est.interval
-        hit, uvec = _masked_payoff(law.points, v, spec, lo, hi)
+        hit = (v >= lo) & (v <= hi)  # distinct points: equal rows move alike
+        uvec = payoff_matrix(spec, law.points[hit])
         w = weight[hit]
         D = float(np.sort(w * np.sum(uvec * uvec, axis=1)).sum() / w.sum())
         rec = PatchRecord(spec, lo, hi, -est.sign, min(err / D, MAX_STEP))

@@ -210,6 +210,34 @@ class TestFamilyForms:
         lo, hi = estimators._row_blocks(len(probs))[1:3]
         assert payoff_matrix(spec, probs[lo:hi]).tobytes() == whole[lo:hi].tobytes()
 
+    def test_dense_realized_payoff_is_the_payoff_matrix_entry(self):
+        # a similarity member's u reads (p @ S)[label] from its row's block
+        # of the tiled product, so it is payoff_matrix's entry bit for bit:
+        # on all-distinct rows, on a grouped law (pairs sorted by row) and
+        # on residuals' path (labels paired with rows by an unsorted inverse)
+        rng = np.random.default_rng(17)
+        C = 20
+        spec = family_spec("similarity", C, rng)
+
+        def check(points, labels, row_of=None):
+            _, _, u = next(estimators._member_payoffs(points, [spec], labels, row_of))
+            rows = np.arange(len(labels)) if row_of is None else row_of
+            want = payoff_matrix(spec, points)[rows, labels]
+            assert u.tobytes() == want.tobytes()
+
+        d = random_preds(rng, 2 * estimators._ROW_BLOCK + 9, C)
+        check(d.probs, d.labels)
+        base = random_preds(rng, 12_000, C).probs
+        dup = LabeledPredictions(
+            base[rng.integers(0, len(base), 16_000)], rng.integers(0, C, 16_000)
+        )
+        law = group_sample(dup)
+        assert len(law.points) > 2 * estimators._ROW_BLOCK
+        check(law.points, law.labels, law.row_of)
+        points, inverse = distinct_rows(dup.probs)
+        assert not (np.diff(inverse) >= 0).all()
+        check(points, dup.labels, inverse)
+
     def test_label_ranks_follow_the_stable_sort_across_row_blocks(self):
         rng = np.random.default_rng(13)
         n, C = 8193, 10
@@ -648,8 +676,9 @@ class TestStackedProducts:
         assert peak < tile + block + product + 16 * n * 8 < n * C * 8
 
     def test_dense_pool_memory_is_bounded(self):
-        # a similarity member's n x C payoffs (32 MB) go before the next
-        # member is computed, so two of them never coexist
+        # a similarity member's payoffs are one row block's (6.4 MB of the
+        # 32 MB n x C) and go before the next block's or member's are
+        # computed, so two of them never coexist
         n, C = 20_000, 200
         d = random_preds(np.random.default_rng(9), n, C)
         half = np.full((C, C), 0.5)
@@ -666,6 +695,22 @@ class TestStackedProducts:
         finally:
             tracemalloc.stop()
         assert peak < n * C * 8 + 16 * n * 8
+
+    def test_similarity_pool_holds_one_row_block_of_payoffs(self):
+        # a similarity member's payoffs are taken one row block at a time,
+        # so the pool never holds half of an n x C matrix
+        n, C = 20_000, 200
+        d = random_preds(np.random.default_rng(11), n, C)
+        half = np.full((C, C), 0.5)
+        np.fill_diagonal(half, 1.0)
+        pool = [UtilitySpec.similarity(np.eye(C)), UtilitySpec.similarity(half)]
+        tracemalloc.start()
+        try:
+            uc_hat_pool(d, pool)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * C * 8 / 2
 
     def test_grouped_rank_pool_gathers_one_block_of_rows(self):
         # 50 points, each paired with all 500 labels: the 25 000 pairs' rows
@@ -725,8 +770,9 @@ class TestDistinctRows:
 
     def test_continuous_inputs_keep_their_bytes(self):
         # sha256 of the estimates on rows that are all distinct, which no
-        # grouping may move; the linear and rank members' bits are those of
-        # _column_products' tiled matrix product, on sorted rows for rank
+        # grouping may move; the linear, rank and similarity members' bits
+        # are those of _column_products' tiled matrix product, on sorted
+        # rows for rank, one row block at a time for similarity
         h = hashlib.sha256()
         for seed in range(3):
             rng = np.random.default_rng(seed)
@@ -741,7 +787,7 @@ class TestDistinctRows:
                     rows = [[e.value, *e.interval, e.sign] for e in uc_hat_pool(dd, pp)]
                     h.update(np.array(rows).tobytes())
         assert h.hexdigest() == (
-            "8a688b2b1c6469a2f84a37b002a85c8bbffc8038419c94d09408156a41c3857d"
+            "1abb6c0c895f9eb69d370e42f9a10560e8ebf66d391c671b36efeb9be8119562"
         )
 
     def test_distinct_input_is_returned_uncopied(self):
@@ -1051,6 +1097,23 @@ class TestInvariances:
         a = uc_hat_pool(d, pool)
         b = uc_hat_pool(LabeledPredictions(d.probs[perm], d.labels[perm]), pool)
         assert [estimate_bytes(e) for e in a] == [estimate_bytes(e) for e in b]
+
+    @pytest.mark.parametrize("n, C", [(20_003, 300), (4097, 500)])
+    def test_similarity_row_permutation_bitwise(self, n, C):
+        # a similarity member's products go by _column_products' row blocks,
+        # so a row's v and r do not depend on where the row sits; one whole
+        # product of p and S moved the bits of some rows at these shapes
+        rng = np.random.default_rng((n, C, 5))
+        d = random_preds(rng, n, C)
+        spec = family_spec("similarity", C, rng)
+        v, r = residuals(d, spec)
+        pv = predicted_utility(spec, d.probs)
+        for _ in range(2):
+            perm = rng.permutation(n)
+            v2, r2 = residuals(LabeledPredictions(d.probs[perm], d.labels[perm]), spec)
+            assert v2.tobytes() == v[perm].tobytes()
+            assert r2.tobytes() == r[perm].tobytes()
+            assert predicted_utility(spec, d.probs[perm]).tobytes() == pv[perm].tobytes()
 
     def test_class_relabeling_equivariance(self):
         rng = np.random.default_rng(8)

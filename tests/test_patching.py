@@ -36,7 +36,7 @@ from utilcal.estimators import (
     predicted_utility,
     residuals,
 )
-from utilcal.patching import _apply_record_rows, _masked_payoff, project_simplex_rows
+from utilcal.patching import _apply_record_rows, project_simplex_rows
 from utilcal.utilities import derive_rng
 
 
@@ -60,8 +60,8 @@ def apply_patch(p, rec):
     matrix: the step moves its rows in place."""
     probs = np.array(p, dtype=np.float64)[None, :]
     v = predicted_utility(rec.spec, probs)
-    hit, uvec = _masked_payoff(probs, v, rec.spec, rec.lo, rec.hi)
-    return _apply_record_rows(probs, rec, hit, uvec)[0]
+    hit = (v >= rec.lo) & (v <= rec.hi)
+    return _apply_record_rows(probs, rec, hit, payoff_matrix(rec.spec, probs[hit]))[0]
 
 
 def perfect_predictor(n=24, C=3):
@@ -385,25 +385,20 @@ class TestFit:
         d, _ = gen_miscalibrated(random_dist(derive_rng(61), 20, C), 2001, seed=3)
         witnesses, masks, moved = [], [], []
         find = patching._worst_member
-        masked, apply = patching._masked_payoff, patching._apply_record_rows
+        apply = patching._apply_record_rows
 
         def record_witness(law, pool):
             out = find(law, pool)
             witnesses.append((law, *out[:2]))
             return out
 
-        def record_mask(*args):
-            out = masked(*args)
-            masks.append(out[0])
-            return out
-
         def record_move(*args):
+            masks.append(args[2])
             out = apply(*args)
             moved.append(out)
             return out
 
         monkeypatch.setattr(patching, "_worst_member", record_witness)
-        monkeypatch.setattr(patching, "_masked_payoff", record_mask)
         monkeypatch.setattr(patching, "_apply_record_rows", record_move)
         seq = fit(d, epsilon=0.01, max_iters=40, augment_count=8)
         monkeypatch.undo()
